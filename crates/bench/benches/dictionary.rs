@@ -84,7 +84,7 @@ fn bench_groupby(name: &'static str, card: usize, results: &mut Vec<(&'static st
     .schema();
     let run = |b: &VectorBatch| {
         let sb = hive_common::SelBatch::from_batch(b.clone());
-        execute_aggregate_par(&sb, &groups, &None, &aggs, &out_schema, 1, true, None, None).unwrap()
+        execute_aggregate_par(&sb, &groups, &None, &aggs, &out_schema, 1, None, None).unwrap()
     };
     assert_eq!(
         rows_of(&run(&dict_b)),

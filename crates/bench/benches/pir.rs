@@ -191,7 +191,6 @@ fn main() {
     std::env::remove_var("HIVE_PIR_ENABLED");
     std::env::remove_var("HIVE_SELVEC_ENABLED");
     std::env::remove_var("HIVE_DICT_ENABLED");
-    std::env::remove_var("HIVE_RAWTABLE_ENABLED");
     std::env::remove_var("HIVE_PARALLEL_THREADS");
 
     // (name, pir_on_ms, pir_off_ms)

@@ -212,14 +212,12 @@ fn micro_cases(results: &mut Vec<(String, f64, f64)>) {
         // gating filter→aggregate number).
         let run_on = || {
             let sb = SelBatch::new(batch.clone(), SelVec::Idx(idx.clone())).unwrap();
-            execute_aggregate_par(&sb, &groups, &None, &aggs, &out_schema, 1, true, None, None)
-                .unwrap()
+            execute_aggregate_par(&sb, &groups, &None, &aggs, &out_schema, 1, None, None).unwrap()
         };
         let run_off = || {
             let private = copy_out(&batch).take(&idx);
             let sb = SelBatch::from_batch(private);
-            execute_aggregate_par(&sb, &groups, &None, &aggs, &out_schema, 1, true, None, None)
-                .unwrap()
+            execute_aggregate_par(&sb, &groups, &None, &aggs, &out_schema, 1, None, None).unwrap()
         };
         assert_eq!(
             rows_of(&run_on()),
@@ -248,7 +246,6 @@ fn micro_cases(results: &mut Vec<(String, f64, f64)>) {
                 &join_out,
                 usize::MAX,
                 1,
-                true,
                 None,
                 None,
             )
@@ -261,7 +258,6 @@ fn micro_cases(results: &mut Vec<(String, f64, f64)>) {
                 &join_aggs,
                 &join_agg_schema,
                 1,
-                true,
                 None,
                 None,
             )
@@ -280,7 +276,6 @@ fn micro_cases(results: &mut Vec<(String, f64, f64)>) {
                 &join_out,
                 usize::MAX,
                 1,
-                true,
                 None,
                 None,
             )
@@ -293,7 +288,6 @@ fn micro_cases(results: &mut Vec<(String, f64, f64)>) {
                 &join_aggs,
                 &join_agg_schema,
                 1,
-                true,
                 None,
                 None,
             )

@@ -111,14 +111,11 @@ pub struct HiveConf {
     /// volume changes. Overridable via `HIVE_SELVEC_ENABLED`
     /// (`0`/`false`/`off` disables, anything else enables).
     pub selvec_enabled: bool,
-    /// `hive.exec.rawtable.enabled`: key the hash operators (join
-    /// build/probe, GROUP BY, DISTINCT, window partitioning, set ops)
-    /// on open-addressing flat tables with arena-resident canonical key
-    /// bytes and precomputed FNV-1a hashes. When off, the operators use
-    /// the original `HashMap` paths — the differential oracle. Results
-    /// are byte-identical either way; only per-row hashing/allocation
-    /// cost changes. Overridable via `HIVE_RAWTABLE_ENABLED`
-    /// (`0`/`false`/`off` disables, anything else enables).
+    /// No effect: the hash operators (join, GROUP BY, DISTINCT, window
+    /// partitioning, set ops) always key on the open-addressing flat
+    /// table. The field only remains because the out-of-workspace
+    /// `benchmark` crate still assigns it; it goes when that crate
+    /// stops doing so.
     pub rawtable_enabled: bool,
     /// `hive.exec.pir.enabled`: lower optimizer Filter/Project chains
     /// into physical-IR pipelines — fused selection-vector loops whose
@@ -260,60 +257,31 @@ impl HiveConf {
     /// environment variable wins (for process-level differential
     /// sweeps), then the conf field.
     pub fn effective_dictionary_enabled(&self) -> bool {
-        match std::env::var("HIVE_DICT_ENABLED") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-            Err(_) => self.dictionary_enabled,
-        }
+        env_flag("HIVE_DICT_ENABLED", self.dictionary_enabled)
     }
 
-    /// Resolve [`HiveConf::selvec_enabled`]: the `HIVE_SELVEC_ENABLED`
-    /// environment variable wins (for process-level differential
-    /// sweeps), then the conf field.
+    /// Resolve [`HiveConf::selvec_enabled`]: `HIVE_SELVEC_ENABLED`
+    /// wins, then the conf field.
     pub fn effective_selvec_enabled(&self) -> bool {
-        match std::env::var("HIVE_SELVEC_ENABLED") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-            Err(_) => self.selvec_enabled,
-        }
+        env_flag("HIVE_SELVEC_ENABLED", self.selvec_enabled)
     }
 
-    /// Resolve [`HiveConf::rawtable_enabled`]: the
-    /// `HIVE_RAWTABLE_ENABLED` environment variable wins (for
-    /// process-level differential sweeps), then the conf field.
-    pub fn effective_rawtable_enabled(&self) -> bool {
-        match std::env::var("HIVE_RAWTABLE_ENABLED") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-            Err(_) => self.rawtable_enabled,
-        }
-    }
-
-    /// Resolve [`HiveConf::pir_enabled`]: the `HIVE_PIR_ENABLED`
-    /// environment variable wins (for process-level differential
-    /// sweeps), then the conf field.
+    /// Resolve [`HiveConf::pir_enabled`]: `HIVE_PIR_ENABLED` wins, then
+    /// the conf field.
     pub fn effective_pir_enabled(&self) -> bool {
-        match std::env::var("HIVE_PIR_ENABLED") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-            Err(_) => self.pir_enabled,
-        }
+        env_flag("HIVE_PIR_ENABLED", self.pir_enabled)
     }
 
-    /// Resolve [`HiveConf::histograms_enabled`]: the
-    /// `HIVE_HISTOGRAMS_ENABLED` environment variable wins (for
-    /// process-level differential sweeps), then the conf field.
+    /// Resolve [`HiveConf::histograms_enabled`]:
+    /// `HIVE_HISTOGRAMS_ENABLED` wins, then the conf field.
     pub fn effective_histograms_enabled(&self) -> bool {
-        match std::env::var("HIVE_HISTOGRAMS_ENABLED") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-            Err(_) => self.histograms_enabled,
-        }
+        env_flag("HIVE_HISTOGRAMS_ENABLED", self.histograms_enabled)
     }
 
-    /// Resolve [`HiveConf::spill_enabled`]: the `HIVE_SPILL_ENABLED`
-    /// environment variable wins (for process-level differential
-    /// sweeps), then the conf field.
+    /// Resolve [`HiveConf::spill_enabled`]: `HIVE_SPILL_ENABLED` wins,
+    /// then the conf field.
     pub fn effective_spill_enabled(&self) -> bool {
-        match std::env::var("HIVE_SPILL_ENABLED") {
-            Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
-            Err(_) => self.spill_enabled,
-        }
+        env_flag("HIVE_SPILL_ENABLED", self.spill_enabled)
     }
 
     /// Resolve [`HiveConf::memory_per_query_bytes`]: the
@@ -325,6 +293,16 @@ impl HiveConf {
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .unwrap_or(self.memory_per_query_bytes)
+    }
+}
+
+/// A boolean toggle's environment override: when `var` is set,
+/// `0`/`false`/`off`/empty (after trimming) disables and anything else
+/// enables; when unset, `conf` decides.
+fn env_flag(var: &str, conf: bool) -> bool {
+    match std::env::var(var) {
+        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | ""),
+        Err(_) => conf,
     }
 }
 

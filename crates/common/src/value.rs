@@ -474,32 +474,33 @@ fn numeric_binop(
     if a.is_null() || b.is_null() {
         return Ok(Null);
     }
+    let overflow = |kind: &str| HiveError::Execution(format!("{kind} overflow in {op}"));
+    // An integer operand of a decimal op rescales to the decimal's scale.
+    let scaled = |v: &Value, s: u8| v.as_i64().and_then(|y| (y as i128).checked_mul(pow10(s)));
     match (a, b) {
         (Int(x), Int(y)) => int_op(*x as i128, *y as i128)
             .map(|v| Int(v as i32))
-            .ok_or_else(|| HiveError::Execution(format!("integer overflow in {op}"))),
-        (Int(x), BigInt(y)) | (BigInt(y), Int(x)) => int_op(*x as i128, *y as i128)
-            .map(|v| BigInt(v as i64))
-            .ok_or_else(|| HiveError::Execution(format!("integer overflow in {op}"))),
-        (BigInt(x), BigInt(y)) => int_op(*x as i128, *y as i128)
-            .map(|v| BigInt(v as i64))
-            .ok_or_else(|| HiveError::Execution(format!("integer overflow in {op}"))),
+            .ok_or_else(|| overflow("integer")),
+        (Int(_) | BigInt(_), Int(_) | BigInt(_)) => {
+            int_op(a.as_i64().unwrap() as i128, b.as_i64().unwrap() as i128)
+                .map(|v| BigInt(v as i64))
+                .ok_or_else(|| overflow("integer"))
+        }
         (Decimal(u1, s1), Decimal(u2, s2)) => {
             let s = (*s1).max(*s2);
             int_op(rescale(*u1, *s1, s), rescale(*u2, *s2, s))
                 .map(|v| Decimal(v, s))
-                .ok_or_else(|| HiveError::Execution(format!("decimal overflow in {op}")))
+                .ok_or_else(|| overflow("decimal"))
         }
-        (Decimal(u, s), Int(y)) | (Int(y), Decimal(u, s)) if op != "-" => {
-            int_op(*u, *y as i128 * pow10(*s))
-                .map(|v| Decimal(v, *s))
-                .ok_or_else(|| HiveError::Execution(format!("decimal overflow in {op}")))
-        }
-        (Decimal(u, s), BigInt(y)) | (BigInt(y), Decimal(u, s)) if op != "-" => {
-            int_op(*u, *y as i128 * pow10(*s))
-                .map(|v| Decimal(v, *s))
-                .ok_or_else(|| HiveError::Execution(format!("decimal overflow in {op}")))
-        }
+        // Operands keep their order: `-` is not commutative.
+        (Decimal(u, s), Int(_) | BigInt(_)) => scaled(b, *s)
+            .and_then(|y| int_op(*u, y))
+            .map(|v| Decimal(v, *s))
+            .ok_or_else(|| overflow("decimal")),
+        (Int(_) | BigInt(_), Decimal(u, s)) => scaled(a, *s)
+            .and_then(|x| int_op(x, *u))
+            .map(|v| Decimal(v, *s))
+            .ok_or_else(|| overflow("decimal")),
         _ => {
             let x = a
                 .as_f64()
@@ -551,6 +552,15 @@ mod tests {
         let c = Value::Decimal(250, 2); // 2.50
         assert_eq!(a.add(&c).unwrap(), Value::Decimal(450, 2));
         assert_eq!(a.mul(&c).unwrap(), Value::Decimal(500, 2));
+        // Mixed-width subtraction keeps operand order (BIGINT - INT once
+        // computed INT - BIGINT) and DECIMAL - integer stays DECIMAL.
+        // `==` is SQL equality (INT 1 = BIGINT 1), so types are matched.
+        assert!(matches!(b.sub(&a).unwrap(), Value::BigInt(1)));
+        assert!(matches!(a.sub(&b).unwrap(), Value::BigInt(-1)));
+        assert!(matches!(c.sub(&a).unwrap(), Value::Decimal(50, 2)));
+        assert!(matches!(a.sub(&c).unwrap(), Value::Decimal(-50, 2)));
+        assert!(matches!(c.sub(&b).unwrap(), Value::Decimal(-50, 2)));
+        assert!(matches!(b.sub(&c).unwrap(), Value::Decimal(50, 2)));
         // int / int -> double (Hive semantics)
         assert_eq!(
             Value::Int(7).div(&Value::Int(2)).unwrap(),

@@ -19,6 +19,14 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// The payload of a `BIGINT` value; `None` for any other type.
+fn bigint(v: Value) -> Option<i64> {
+    match v {
+        Value::BigInt(v) => Some(v),
+        _ => None,
+    }
+}
+
 proptest! {
     #[test]
     fn decimal_format_parse_round_trip(unscaled in -10_000_000_000i128..10_000_000_000, scale in 0u8..9) {
@@ -120,12 +128,23 @@ proptest! {
     }
 
     #[test]
-    fn add_sub_round_trip_ints(a in -1_000_000i64..1_000_000, b in -1_000_000i64..1_000_000) {
-        let x = Value::BigInt(a);
-        let y = Value::BigInt(b);
-        let sum = x.add(&y).unwrap();
-        let back = sum.sub(&y).unwrap();
-        prop_assert_eq!(back, x);
+    fn add_sub_round_trip_ints(a in -1_000_000i64..1_000_000, b in -1_000_000i32..1_000_000) {
+        // Same-width and mixed-width (BIGINT ± INT in both operand
+        // orders) pairs. Every pair yields BIGINT: `(x + y) - y == x`, and
+        // `x - y` and `y - x` are exact. `Value`'s `==` is SQL equality
+        // (INT 5 = BIGINT 5), so the type is checked by `bigint`.
+        let pairs = [
+            (Value::BigInt(a), Value::BigInt(b as i64)),
+            (Value::BigInt(a), Value::Int(b)),
+            (Value::Int(b), Value::BigInt(a)),
+        ];
+        for (x, y) in pairs {
+            let (xi, yi) = (x.as_i64().unwrap(), y.as_i64().unwrap());
+            let back = x.add(&y).unwrap().sub(&y).unwrap();
+            prop_assert_eq!(bigint(back), Some(xi));
+            prop_assert_eq!(bigint(x.sub(&y).unwrap()), Some(xi - yi));
+            prop_assert_eq!(bigint(y.sub(&x).unwrap()), Some(yi - xi));
+        }
     }
 
     #[test]

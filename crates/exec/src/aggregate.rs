@@ -15,7 +15,6 @@ use crate::spill::{partition_of, plan_partition, push_rec, RecIter, SpillCtx};
 use hive_common::hash::FNV_OFFSET;
 use hive_common::{ColumnVector, Result, Row, SelBatch, SelVec, Value, VectorBatch};
 use hive_optimizer::{AggExpr, AggFunc, ScalarExpr};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// One in-flight aggregate state.
@@ -41,77 +40,34 @@ enum Acc {
     },
 }
 
-/// Dedup state for DISTINCT aggregates. Both representations keep the
-/// distinct values in first-seen order (`vals`), so fold-order
-/// sensitive finishers (SUM/AVG over doubles) are byte-identical
-/// across the `hive.exec.rawtable.enabled` toggle and across worker
-/// counts — a group's rows all live in one partition and arrive in
-/// ascending row order, so first-seen order is thread-invariant.
-#[derive(Debug, Clone)]
-enum DistinctSet {
-    /// `HashMap` oracle path (toggle off).
-    Map {
-        set: HashSet<Value>,
-        vals: Vec<Value>,
-    },
-    /// Flat-table path: dedup by canonical encoding bytes, no `Value`
-    /// clone for already-seen inputs.
-    Raw {
-        table: RawTable,
-        scratch: Vec<u8>,
-        vals: Vec<Value>,
-    },
+/// Dedup state for DISTINCT aggregates: values dedup by canonical
+/// encoding bytes (no `Value` clone for already-seen inputs) and are
+/// kept in first-seen order (`vals`), so fold-order sensitive finishers
+/// (SUM/AVG over doubles) are byte-identical across worker counts — a
+/// group's rows all live in one partition and arrive in ascending row
+/// order, so first-seen order is thread-invariant.
+#[derive(Debug, Clone, Default)]
+struct DistinctSet {
+    table: RawTable,
+    scratch: Vec<u8>,
+    vals: Vec<Value>,
 }
 
 impl DistinctSet {
-    fn new(use_rawtable: bool) -> DistinctSet {
-        if use_rawtable {
-            DistinctSet::Raw {
-                table: RawTable::new(),
-                scratch: Vec::new(),
-                vals: Vec::new(),
-            }
-        } else {
-            DistinctSet::Map {
-                set: HashSet::new(),
-                vals: Vec::new(),
-            }
-        }
-    }
-
     fn insert(&mut self, v: &Value) {
-        match self {
-            DistinctSet::Map { set, vals } => {
-                if set.insert(v.clone()) {
-                    vals.push(v.clone());
-                }
-            }
-            DistinctSet::Raw {
-                table,
-                scratch,
-                vals,
-            } => {
-                let h = rawtable::hash_value(v, scratch);
-                let (_, inserted) = table.insert(h, scratch);
-                if inserted {
-                    vals.push(v.clone());
-                }
-            }
-        }
-    }
-
-    fn into_vals(self) -> Vec<Value> {
-        match self {
-            DistinctSet::Map { vals, .. } | DistinctSet::Raw { vals, .. } => vals,
+        let h = rawtable::hash_value(v, &mut self.scratch);
+        let (_, inserted) = self.table.insert(h, &self.scratch);
+        if inserted {
+            self.vals.push(v.clone());
         }
     }
 }
 
 impl Acc {
-    fn new(a: &AggExpr, use_rawtable: bool) -> Acc {
+    fn new(a: &AggExpr) -> Acc {
         if a.distinct {
             return Acc::Distinct {
-                seen: DistinctSet::new(use_rawtable),
+                seen: DistinctSet::default(),
                 func: a.func,
             };
         }
@@ -224,9 +180,9 @@ impl Acc {
                 }
             }
             Acc::Distinct { seen, func } => {
-                // Fold in first-seen order (see [`DistinctSet`]) — the
-                // deterministic order both toggle arms share.
-                let vals = seen.into_vals();
+                // Fold in first-seen order (see [`DistinctSet`]) so the
+                // result is identical across worker counts.
+                let vals = seen.vals;
                 match func {
                     AggFunc::Count => Value::BigInt(vals.len() as i64),
                     AggFunc::Sum => {
@@ -284,7 +240,6 @@ pub fn execute_aggregate(
         aggs,
         out_schema,
         1,
-        true,
         None,
         None,
     )
@@ -300,10 +255,6 @@ pub fn execute_aggregate(
 /// `out_schema` is the logical node's output schema (group keys, aggs,
 /// and the grouping-id column when `grouping_sets` is present).
 ///
-/// `rawtable` selects the flat-table build (`hive.exec.rawtable.enabled`);
-/// both arms are byte-identical — the `HashMap` arm stays as the
-/// differential oracle.
-///
 /// `pir` is `Some` when the physical IR is enabled: the build then
 /// records each row's group assignment and folds every aggregate
 /// through a compiled accumulator kernel ([`crate::pir::agg`]) when all
@@ -317,7 +268,6 @@ pub fn execute_aggregate_par(
     aggs: &[AggExpr],
     out_schema: &hive_common::Schema,
     workers: usize,
-    rawtable: bool,
     spill: Option<&SpillCtx<'_>>,
     mut pir: Option<&mut crate::pir::PirCounters>,
 ) -> Result<VectorBatch> {
@@ -395,7 +345,7 @@ pub fn execute_aggregate_par(
         }
         let mut groups = match &admission {
             Some((sp, None)) if sp.enabled => {
-                build_groups_spilled(&input.sel, &key_cols, &arg_cols, set, aggs, rawtable, sp)?
+                build_groups_spilled(&input.sel, &key_cols, &arg_cols, set, aggs, sp)?
             }
             _ => {
                 let _forced = match &admission {
@@ -403,17 +353,14 @@ pub fn execute_aggregate_par(
                     _ => None,
                 };
                 build_groups(
-                    &input.sel, &key_cols, &arg_cols, set, aggs, workers, rawtable, compiled,
+                    &input.sel, &key_cols, &arg_cols, set, aggs, workers, compiled,
                 )?
             }
         };
         // Global aggregation with no keys over empty input yields the
         // neutral row.
         if groups.is_empty() && set.is_empty() {
-            groups.push((
-                Vec::new(),
-                aggs.iter().map(|a| Acc::new(a, rawtable)).collect(),
-            ));
+            groups.push((Vec::new(), aggs.iter().map(Acc::new).collect()));
         }
         for (key, accs) in groups {
             let mut row: Vec<Value> = Vec::with_capacity(out_schema.len());
@@ -502,11 +449,9 @@ fn fold_compiled(
 /// column's canonical key-part encoding into every row's running state
 /// (the batch-at-a-time combine step; see [`hive_common::hash`]).
 ///
-/// The same hash serves both toggle arms: it routes rows to build
-/// partitions (replacing the old per-row `DefaultHasher`), and on the
-/// flat-table arm it doubles as the table probe hash — by construction
-/// it equals `fnv1a` of the concatenated key-part encodings, i.e. of
-/// the arena key bytes. Routing is result-invisible (merge order comes
+/// The hash routes rows to build partitions and doubles as the table
+/// probe hash — by construction it equals `fnv1a` of the concatenated
+/// key-part encodings, i.e. of the arena key bytes. Routing is result-invisible (merge order comes
 /// from first-seen row indices), so dictionary codes are safe to hash.
 fn hash_rows(readers: &[KeyReader<'_>], sel: &SelVec, lo: usize, hi: usize) -> Vec<u64> {
     let mut hs = vec![FNV_OFFSET; hi - lo];
@@ -524,7 +469,6 @@ fn hash_rows(readers: &[KeyReader<'_>], sel: &SelVec, lo: usize, hi: usize) -> V
 /// the serial single-pass build discovers them in, for any `workers`
 /// count. Iteration runs over selected positions `0..sel.len()`; the
 /// key/arg columns span the batch domain and are read at `sel.index(p)`.
-#[allow(clippy::too_many_arguments)]
 fn build_groups(
     sel: &SelVec,
     key_cols: &[Arc<ColumnVector>],
@@ -532,7 +476,6 @@ fn build_groups(
     set: &[usize],
     aggs: &[AggExpr],
     workers: usize,
-    rawtable: bool,
     compiled: bool,
 ) -> Result<Vec<(Vec<Value>, Vec<Acc>)>> {
     let num_rows = sel.len();
@@ -545,7 +488,7 @@ fn build_groups(
         .collect();
     // Dense group lookup for the common single-dictionary-key case:
     // slot 0 is the NULL group, slot c+1 the group of code c — no
-    // per-row key bytes, no table probe at all (both arms).
+    // per-row key bytes, no table probe at all.
     let dense_len = match &readers[..] {
         [r] => r.dict_len(),
         _ => None,
@@ -553,10 +496,9 @@ fn build_groups(
 
     let parallel = workers > 1 && num_rows >= 2;
     // Hashes route rows to partitions (parallel build) and serve as the
-    // flat-table probe hash (rawtable arm, non-dense keys). The dense
-    // path indexes groups by code, so serial dense builds skip hashing
-    // entirely.
-    let need_hashes = parallel || (rawtable && dense_len.is_none() && num_rows > 0);
+    // table probe hash (non-dense keys). The dense path indexes groups
+    // by code, so serial dense builds skip hashing entirely.
+    let need_hashes = parallel || (dense_len.is_none() && num_rows > 0);
     let hashes: Vec<u64> = if need_hashes {
         let chunk = num_rows.div_ceil(workers.max(1)).max(1);
         let nchunks = num_rows.div_ceil(chunk);
@@ -577,16 +519,19 @@ fn build_groups(
         readers.iter().map(|r| r.value_of(&r.part(i))).collect()
     };
 
-    // One partition's build, `HashMap` arm (the differential oracle):
-    // fold every selected position whose stable key hash maps to this
-    // partition, in ascending position order (`filter` preserves it),
+    // One partition's build: fold every selected position whose stable
+    // key hash maps to this partition, in ascending position order,
     // tracking each group's first position for the deterministic merge.
-    // `hashes` is only indexed under `route` (it stays empty when no
-    // routing or flat table needs it), so position-loop indexing is
-    // the correct shape, not a zip candidate.
-    #[allow(clippy::type_complexity, clippy::needless_range_loop)]
-    let build_partition = |route: Option<(usize, usize)>| -> Result<Vec<(usize, Vec<Acc>)>> {
-        let mut index: HashMap<Vec<KeyPart>, usize> = HashMap::new();
+    // Group index = table entry id (entry ids are dense in insertion
+    // order, and groups are pushed on insertion, so they stay aligned).
+    // Keys live as canonical bytes in the table arena — no per-group
+    // key vector and no `Value` clones until emit. `hashes` is only
+    // indexed under `route` or a table probe (it stays empty otherwise),
+    // so position-loop indexing is the correct shape, not a zip candidate.
+    #[allow(clippy::needless_range_loop)]
+    let build = |route: Option<(usize, usize)>| -> Result<Vec<(usize, Vec<Acc>)>> {
+        let mut table = RawTable::new();
+        let mut scratch: Vec<u8> = Vec::new();
         let mut groups: Vec<(usize, Vec<Acc>)> = Vec::new();
         let mut dense: Vec<usize> = vec![usize::MAX; dense_len.map_or(0, |d| d + 1)];
         let (mut rows_idx, mut assign): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
@@ -607,68 +552,7 @@ fn build_groups(
                 };
                 if dense[slot] == usize::MAX {
                     dense[slot] = groups.len();
-                    groups.push((pos, aggs.iter().map(|a| Acc::new(a, false)).collect()));
-                }
-                dense[slot]
-            } else {
-                let key: Vec<KeyPart> = readers.iter().map(|r| r.part(i)).collect();
-                match index.get(&key) {
-                    Some(&g) => g,
-                    None => {
-                        let g = groups.len();
-                        index.insert(key, g);
-                        groups.push((pos, aggs.iter().map(|a| Acc::new(a, false)).collect()));
-                        g
-                    }
-                }
-            };
-            // Compiled path: record the assignment, fold per aggregate
-            // below — no per-row `Value` materialization or dispatch.
-            if compiled {
-                rows_idx.push(i as u32);
-                assign.push(gi as u32);
-            } else {
-                for (acc, arg) in groups[gi].1.iter_mut().zip(arg_cols) {
-                    let v = arg.as_ref().map(|c| c.get(i));
-                    acc.update(v.as_ref())?;
-                }
-            }
-        }
-        if compiled {
-            fold_compiled(&mut groups, &rows_idx, &assign, aggs, arg_cols)?;
-        }
-        Ok(groups)
-    };
-
-    // One partition's build, flat-table arm: group index = table entry
-    // id (entry ids are dense in insertion order, and groups are pushed
-    // on insertion, so they stay aligned). Keys live as canonical bytes
-    // in the table arena — no per-group `Vec<KeyPart>` and no `Value`
-    // clones until emit.
-    #[allow(clippy::needless_range_loop)] // see `build_partition`
-    let build_partition_raw = |route: Option<(usize, usize)>| -> Result<Vec<(usize, Vec<Acc>)>> {
-        let mut table = RawTable::new();
-        let mut scratch: Vec<u8> = Vec::new();
-        let mut groups: Vec<(usize, Vec<Acc>)> = Vec::new();
-        let mut dense: Vec<usize> = vec![usize::MAX; dense_len.map_or(0, |d| d + 1)];
-        let (mut rows_idx, mut assign): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
-        for pos in 0..num_rows {
-            if let Some((nparts, p)) = route {
-                if hashes[pos] as usize % nparts != p {
-                    continue;
-                }
-            }
-            let i = sel.index(pos);
-            let gi = if dense_len.is_some() {
-                let slot = match readers[0].part(i) {
-                    KeyPart::Null => 0,
-                    KeyPart::Code(c) => c as usize + 1,
-                    // invariant: see `build_partition`.
-                    KeyPart::Val(_) => unreachable!("value part from a dictionary reader"),
-                };
-                if dense[slot] == usize::MAX {
-                    dense[slot] = groups.len();
-                    groups.push((pos, aggs.iter().map(|a| Acc::new(a, true)).collect()));
+                    groups.push((pos, aggs.iter().map(Acc::new).collect()));
                 }
                 dense[slot]
             } else {
@@ -678,7 +562,7 @@ fn build_groups(
                 }
                 let (e, inserted) = table.insert(hashes[pos], &scratch);
                 if inserted {
-                    groups.push((pos, aggs.iter().map(|a| Acc::new(a, true)).collect()));
+                    groups.push((pos, aggs.iter().map(Acc::new).collect()));
                 }
                 e as usize
             };
@@ -698,14 +582,6 @@ fn build_groups(
             fold_compiled(&mut groups, &rows_idx, &assign, aggs, arg_cols)?;
         }
         Ok(groups)
-    };
-
-    let build = |route: Option<(usize, usize)>| {
-        if rawtable {
-            build_partition_raw(route)
-        } else {
-            build_partition(route)
-        }
     };
 
     if !parallel {
@@ -748,7 +624,6 @@ fn build_groups_spilled(
     arg_cols: &[Option<Arc<ColumnVector>>],
     set: &[usize],
     aggs: &[AggExpr],
-    rawtable: bool,
     sp: &SpillCtx<'_>,
 ) -> Result<Vec<(Vec<Value>, Vec<Acc>)>> {
     let num_rows = sel.len();
@@ -778,7 +653,6 @@ fn build_groups_spilled(
         arg_cols,
         aggs,
         set.len().max(1),
-        rawtable,
         0,
         None,
         num_rows,
@@ -810,7 +684,6 @@ fn agg_solve(
     arg_cols: &[Option<Arc<ColumnVector>>],
     aggs: &[AggExpr],
     key_cols_n: usize,
-    rawtable: bool,
     depth: u32,
     parent_rows: Option<usize>,
     rows: usize,
@@ -828,46 +701,17 @@ fn agg_solve(
             None => sp.broker.force_reserve("group-by-partition", est),
         };
         let mut groups: Vec<(usize, Vec<Acc>)> = Vec::new();
-        if rawtable {
-            let mut table = RawTable::new();
-            for rec in RecIter::new(recs) {
-                let (h, pos, key) = rec?;
-                let (e, inserted) = table.insert(h, key);
-                if inserted {
-                    groups.push((
-                        pos as usize,
-                        aggs.iter().map(|a| Acc::new(a, true)).collect(),
-                    ));
-                }
-                let i = sel.index(pos as usize);
-                for (acc, arg) in groups[e as usize].1.iter_mut().zip(arg_cols) {
-                    let v = arg.as_ref().map(|c| c.get(i));
-                    acc.update(v.as_ref())?;
-                }
+        let mut table = RawTable::new();
+        for rec in RecIter::new(recs) {
+            let (h, pos, key) = rec?;
+            let (e, inserted) = table.insert(h, key);
+            if inserted {
+                groups.push((pos as usize, aggs.iter().map(Acc::new).collect()));
             }
-        } else {
-            // Differential-oracle arm, keyed by the canonical encoding
-            // bytes (encoding equality ⟺ group equality).
-            let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-            for rec in RecIter::new(recs) {
-                let (_h, pos, key) = rec?;
-                let gi = match index.get(key) {
-                    Some(&g) => g,
-                    None => {
-                        let g = groups.len();
-                        index.insert(key.to_vec(), g);
-                        groups.push((
-                            pos as usize,
-                            aggs.iter().map(|a| Acc::new(a, false)).collect(),
-                        ));
-                        g
-                    }
-                };
-                let i = sel.index(pos as usize);
-                for (acc, arg) in groups[gi].1.iter_mut().zip(arg_cols) {
-                    let v = arg.as_ref().map(|c| c.get(i));
-                    acc.update(v.as_ref())?;
-                }
+            let i = sel.index(pos as usize);
+            for (acc, arg) in groups[e as usize].1.iter_mut().zip(arg_cols) {
+                let v = arg.as_ref().map(|c| c.get(i));
+                acc.update(v.as_ref())?;
             }
         }
         out.extend(groups);
@@ -903,7 +747,6 @@ fn agg_solve(
             arg_cols,
             aggs,
             key_cols_n,
-            rawtable,
             depth + 1,
             Some(rows),
             n,
@@ -919,6 +762,7 @@ fn agg_solve(
 mod tests {
     use super::*;
     use hive_common::{DataType, Field, Schema};
+    use hive_optimizer::eval::eval_scalar;
     use hive_optimizer::plan::LogicalPlan;
     use std::sync::Arc;
 
@@ -1076,6 +920,51 @@ mod tests {
         assert!(rows.contains(&"a\t3\t0".to_string()), "{rows:?}");
     }
 
+    /// Run `execute_aggregate_par` (no grouping sets) and render rows in
+    /// output order.
+    fn par_rows(
+        sb: &SelBatch,
+        groups: &[ScalarExpr],
+        aggs: &[AggExpr],
+        out_schema: &Schema,
+        workers: usize,
+        spill: Option<&SpillCtx<'_>>,
+    ) -> Vec<String> {
+        let out = execute_aggregate_par(sb, groups, &None, aggs, out_schema, workers, spill, None)
+            .unwrap();
+        out.to_rows().iter().map(|r| r.to_string()).collect()
+    }
+
+    /// Row-at-a-time reference GROUP BY on column 0: each row finds its
+    /// group by a linear scan with `Value::group_eq` (NULLs group
+    /// together); groups emit in first-seen order with accumulators
+    /// folded in row order.
+    fn reference_group_by(b: &VectorBatch, aggs: &[AggExpr]) -> Vec<String> {
+        let mut groups: Vec<(Value, Vec<Acc>)> = Vec::new();
+        for row in b.to_rows() {
+            let k = row.get(0);
+            let g = match groups.iter().position(|(gk, _)| gk.group_eq(k)) {
+                Some(g) => g,
+                None => {
+                    groups.push((k.clone(), aggs.iter().map(Acc::new).collect()));
+                    groups.len() - 1
+                }
+            };
+            for (acc, a) in groups[g].1.iter_mut().zip(aggs) {
+                let v = a.arg.as_ref().map(|e| eval_scalar(e, row.values()));
+                acc.update(v.transpose().unwrap().as_ref()).unwrap();
+            }
+        }
+        groups
+            .into_iter()
+            .map(|(k, accs)| {
+                let mut vals = vec![k];
+                vals.extend(accs.into_iter().map(|a| a.finish().unwrap()));
+                Row::new(vals).to_string()
+            })
+            .collect()
+    }
+
     #[test]
     fn parallel_aggregate_is_byte_identical() {
         // Floating-point aggregates (avg, stddev) are fold-order
@@ -1112,50 +1001,21 @@ mod tests {
         .collect::<Vec<_>>();
         let out_schema = agg_schema(&b, &groups, &None, &aggs);
         let sb = SelBatch::from_batch(b);
-        // Oracle: serial HashMap build. Every (workers, rawtable) combo
-        // must reproduce it byte for byte.
-        let base = execute_aggregate_par(
-            &sb,
-            &groups,
-            &None,
-            &aggs,
-            &out_schema,
-            1,
-            false,
-            None,
-            None,
-        )
-        .unwrap();
-        let base_rows: Vec<String> = base.to_rows().iter().map(|r| r.to_string()).collect();
-        assert_eq!(base.num_rows(), 98); // 97 int keys + NULL group
+        let expected = reference_group_by(&sb.batch, &aggs);
+        assert_eq!(expected.len(), 98); // 97 int keys + NULL group
         for workers in [1, 2, 8] {
-            for rawtable in [false, true] {
-                let out = execute_aggregate_par(
-                    &sb,
-                    &groups,
-                    &None,
-                    &aggs,
-                    &out_schema,
-                    workers,
-                    rawtable,
-                    None,
-                    None,
-                )
-                .unwrap();
-                let got: Vec<String> = out.to_rows().iter().map(|r| r.to_string()).collect();
-                assert_eq!(
-                    got, base_rows,
-                    "{workers} workers rawtable={rawtable} diverged"
-                );
-            }
+            assert_eq!(
+                par_rows(&sb, &groups, &aggs, &out_schema, workers, None),
+                expected,
+                "{workers} workers diverged"
+            );
         }
     }
 
     #[test]
-    fn distinct_aggregates_match_across_toggle_and_workers() {
+    fn distinct_aggregates_match_the_reference_across_workers() {
         // DISTINCT SUM over doubles is fold-order sensitive: identical
-        // output across the toggle and worker counts pins the shared
-        // first-seen dedup order.
+        // output across worker counts pins the first-seen dedup order.
         let schema = Schema::new(vec![
             Field::new("k", DataType::Int),
             Field::new("v", DataType::Double),
@@ -1180,39 +1040,13 @@ mod tests {
             .collect();
         let out_schema = agg_schema(&b, &groups, &None, &aggs);
         let sb = SelBatch::from_batch(b);
-        let base = execute_aggregate_par(
-            &sb,
-            &groups,
-            &None,
-            &aggs,
-            &out_schema,
-            1,
-            false,
-            None,
-            None,
-        )
-        .unwrap();
-        let base_rows: Vec<String> = base.to_rows().iter().map(|r| r.to_string()).collect();
+        let expected = reference_group_by(&sb.batch, &aggs);
         for workers in [1, 4] {
-            for rawtable in [false, true] {
-                let out = execute_aggregate_par(
-                    &sb,
-                    &groups,
-                    &None,
-                    &aggs,
-                    &out_schema,
-                    workers,
-                    rawtable,
-                    None,
-                    None,
-                )
-                .unwrap();
-                let got: Vec<String> = out.to_rows().iter().map(|r| r.to_string()).collect();
-                assert_eq!(
-                    got, base_rows,
-                    "{workers} workers rawtable={rawtable} diverged"
-                );
-            }
+            assert_eq!(
+                par_rows(&sb, &groups, &aggs, &out_schema, workers, None),
+                expected,
+                "{workers} workers diverged"
+            );
         }
     }
 
@@ -1260,46 +1094,25 @@ mod tests {
         });
         let out_schema = agg_schema(&b, &groups, &None, &aggs);
         let sb = SelBatch::from_batch(b);
-        let base = execute_aggregate_par(
-            &sb,
-            &groups,
-            &None,
-            &aggs,
-            &out_schema,
-            1,
-            false,
-            None,
-            None,
-        )
-        .unwrap();
-        let base_rows: Vec<String> = base.to_rows().iter().map(|r| r.to_string()).collect();
-        for rawtable in [false, true] {
-            let fs = DistFs::new();
-            let broker = MemoryBroker::with_budget(16 * 1024);
-            let ops = AtomicU64::new(0);
-            let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q0"), &broker, true, &ops);
-            let out = execute_aggregate_par(
-                &sb,
-                &groups,
-                &None,
-                &aggs,
-                &out_schema,
-                1,
-                rawtable,
-                Some(&sp),
-                None,
-            )
-            .unwrap();
-            let got: Vec<String> = out.to_rows().iter().map(|r| r.to_string()).collect();
-            assert_eq!(got, base_rows, "spilled rawtable={rawtable} diverged");
-            assert!(sp.stats.bytes_written() > 0, "group-by never spilled");
-            assert!(
-                fs.list_files_recursive(&DfsPath::new("/tmp/spill"))
-                    .is_empty(),
-                "spill files all deleted"
-            );
-            assert_eq!(broker.reserved(), 0, "all grants released");
-        }
+        let expected = reference_group_by(&sb.batch, &aggs);
+        assert_eq!(
+            par_rows(&sb, &groups, &aggs, &out_schema, 1, None),
+            expected,
+            "in-memory build diverged from the reference"
+        );
+        let fs = DistFs::new();
+        let broker = MemoryBroker::with_budget(16 * 1024);
+        let ops = AtomicU64::new(0);
+        let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q0"), &broker, true, &ops);
+        let got = par_rows(&sb, &groups, &aggs, &out_schema, 1, Some(&sp));
+        assert_eq!(got, expected, "spilled build diverged");
+        assert!(sp.stats.bytes_written() > 0, "group-by never spilled");
+        assert!(
+            fs.list_files_recursive(&DfsPath::new("/tmp/spill"))
+                .is_empty(),
+            "spill files all deleted"
+        );
+        assert_eq!(broker.reserved(), 0, "all grants released");
     }
 
     #[test]

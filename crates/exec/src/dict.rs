@@ -1,16 +1,16 @@
 //! Dictionary-aware key handling shared by the hash operators.
 //!
-//! GROUP BY, window partitioning and (with translation) hash joins key
-//! rows by [`KeyPart`]s: a dictionary-encoded string column contributes
-//! its `u32` code — hashed and compared without cloning the string —
-//! while every other column contributes the scalar value, exactly as
-//! the pre-dictionary code did with `Vec<Value>` keys.
+//! GROUP BY and window partitioning read keys through [`KeyReader`]s
+//! (hash joins use the analogous codec in [`crate::join`]): a
+//! dictionary-encoded string column contributes its `u32` code — hashed
+//! and compared without cloning the string — while every other column
+//! contributes the scalar value's canonical encoding.
 
 use hive_common::{hash, BitSet, ColumnVector, Value};
 use std::sync::Arc;
 
 /// One component of a grouping/partition key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum KeyPart {
     /// SQL NULL (all NULLs group together, as `Value::Null` did).
     Null,

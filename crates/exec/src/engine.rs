@@ -658,7 +658,6 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
                 &schema,
                 ctx.conf.hash_join_row_budget,
                 workers,
-                ctx.conf.effective_rawtable_enabled(),
                 sp.as_ref(),
                 pir,
             )?;
@@ -700,7 +699,6 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
                 aggs,
                 &schema,
                 workers,
-                ctx.conf.effective_rawtable_enabled(),
                 sp.as_ref(),
                 pir,
             )?;
@@ -721,12 +719,7 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
         LogicalPlan::Window { input, windows } => {
             let (child, ct) = execute_sel(input, ctx)?;
             let rows_in = child.num_rows() as u64;
-            let out = execute_window(
-                &child,
-                windows,
-                &schema,
-                ctx.conf.effective_rawtable_enabled(),
-            )?;
+            let out = execute_window(&child, windows, &schema)?;
             let mut t = NodeTrace::leaf("Window");
             t.rows_in = rows_in;
             t.rows_out = out.num_rows() as u64;
@@ -840,14 +833,7 @@ fn execute_sel_inner(plan: &LogicalPlan, ctx: &ExecContext) -> Result<(SelBatch,
         } => {
             let (lb, lt) = execute(left, ctx)?;
             let (rb, rt) = execute(right, ctx)?;
-            let out = execute_setop(
-                *op,
-                *all,
-                &lb,
-                &rb,
-                &schema,
-                ctx.conf.effective_rawtable_enabled(),
-            )?;
+            let out = execute_setop(*op, *all, &lb, &rb, &schema)?;
             let mut t = NodeTrace::leaf(&format!("SetOp({op:?})"));
             t.rows_in = (lb.num_rows() + rb.num_rows()) as u64;
             t.rows_out = out.num_rows() as u64;
@@ -1039,19 +1025,17 @@ pub(crate) fn align_column(
     Ok(std::sync::Arc::new(b.finish()))
 }
 
-/// INTERSECT / EXCEPT via row-count maps (ALL keeps multiplicity).
+/// INTERSECT / EXCEPT via row counts (ALL keeps multiplicity).
 ///
-/// On the flat-table arm (`rawtable`) rows are keyed by their canonical
-/// encoding in one shared table arena — no `Row` materialization or
-/// clone per input row; `Row`s are built only for emitted output. The
-/// `HashMap<Row, i64>` arm stays as the differential oracle.
+/// Rows are keyed by their canonical encoding in one shared hash-table
+/// arena — no `Row` materialization or clone per input row; `Row`s are
+/// built only for emitted output.
 fn execute_setop(
     op: SetOperator,
     all: bool,
     left: &VectorBatch,
     right: &VectorBatch,
     schema: &hive_common::Schema,
-    rawtable: bool,
 ) -> Result<VectorBatch> {
     // Shared emit decision: `in_right` is the row's right-side
     // multiplicity, `already` how many left occurrences preceded this
@@ -1074,51 +1058,34 @@ fn execute_setop(
         })
     };
     let mut out_rows: Vec<Row> = Vec::new();
-    if rawtable {
-        let mut table = crate::rawtable::RawTable::new();
-        let mut scratch: Vec<u8> = Vec::new();
-        // Per table entry: right-side multiplicity / left rows seen.
-        let mut right_count: Vec<i64> = Vec::new();
-        let mut seen: Vec<i64> = Vec::new();
-        for i in 0..right.num_rows() {
-            scratch.clear();
-            crate::rawtable::encode_row(right, i, &mut scratch);
-            let (e, inserted) = table.insert(hive_common::hash::fnv1a(&scratch), &scratch);
-            if inserted {
-                right_count.push(0);
-                seen.push(0);
-            }
-            right_count[e as usize] += 1;
+    let mut table = crate::rawtable::RawTable::new();
+    let mut scratch: Vec<u8> = Vec::new();
+    // Per table entry: right-side multiplicity / left rows seen.
+    let mut right_count: Vec<i64> = Vec::new();
+    let mut seen: Vec<i64> = Vec::new();
+    for i in 0..right.num_rows() {
+        scratch.clear();
+        crate::rawtable::encode_row(right, i, &mut scratch);
+        let (e, inserted) = table.insert(hive_common::hash::fnv1a(&scratch), &scratch);
+        if inserted {
+            right_count.push(0);
+            seen.push(0);
         }
-        for i in 0..left.num_rows() {
-            scratch.clear();
-            crate::rawtable::encode_row(left, i, &mut scratch);
-            let (e, inserted) = table.insert(hive_common::hash::fnv1a(&scratch), &scratch);
-            if inserted {
-                right_count.push(0);
-                seen.push(0);
-            }
-            let e = e as usize;
-            if decide(right_count[e], seen[e])? {
-                out_rows.push(left.row(i));
-            }
-            seen[e] += 1;
+        right_count[e as usize] += 1;
+    }
+    for i in 0..left.num_rows() {
+        scratch.clear();
+        crate::rawtable::encode_row(left, i, &mut scratch);
+        let (e, inserted) = table.insert(hive_common::hash::fnv1a(&scratch), &scratch);
+        if inserted {
+            right_count.push(0);
+            seen.push(0);
         }
-    } else {
-        let mut right_counts: HashMap<Row, i64> = HashMap::new();
-        for i in 0..right.num_rows() {
-            *right_counts.entry(right.row(i)).or_insert(0) += 1;
+        let e = e as usize;
+        if decide(right_count[e], seen[e])? {
+            out_rows.push(left.row(i));
         }
-        let mut emitted: HashMap<Row, i64> = HashMap::new();
-        for i in 0..left.num_rows() {
-            let row = left.row(i);
-            let in_right = right_counts.get(&row).copied().unwrap_or(0);
-            let already = emitted.entry(row.clone()).or_insert(0);
-            if decide(in_right, *already)? {
-                out_rows.push(row.clone());
-            }
-            *already += 1;
-        }
+        seen[e] += 1;
     }
     VectorBatch::from_rows(schema, &out_rows)
 }

@@ -45,23 +45,9 @@ pub fn execute_join(
         out_schema,
         build_row_budget,
         1,
-        true,
         None,
         None,
     )
-}
-
-/// One component of a join key as stored in the hash table.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum JPart {
-    /// Dictionary code in the *right* (build) side's code space.
-    Code(u32),
-    /// Non-dictionary value (also the mixed dict/plain fallback).
-    Val(Value),
-    /// Probe-only: a left dictionary entry absent from the right
-    /// dictionary. Build keys never contain `Miss`, so the lookup
-    /// fails — exactly the no-match outcome the value compare gives.
-    Miss,
 }
 
 /// Per-key-column codec: when both sides are dictionary-encoded, keys
@@ -109,64 +95,7 @@ impl<'a> JoinCodec<'a> {
         JoinCodec::Vals { l, r }
     }
 
-    /// Build-side key part for right row `i`; `None` = NULL key.
-    #[inline]
-    fn build_part(&self, i: usize) -> Option<JPart> {
-        match self {
-            JoinCodec::Codes {
-                rcodes,
-                rnulls,
-                rcanon,
-                ..
-            } => {
-                if rnulls.is_some_and(|n| n.get(i)) {
-                    None
-                } else {
-                    Some(JPart::Code(rcanon[rcodes[i] as usize]))
-                }
-            }
-            JoinCodec::Vals { r, .. } => {
-                let v = r.get(i);
-                if v.is_null() {
-                    None
-                } else {
-                    Some(JPart::Val(v))
-                }
-            }
-        }
-    }
-
-    /// Probe-side key part for left row `i`; `None` = NULL key.
-    #[inline]
-    fn probe_part(&self, i: usize) -> Option<JPart> {
-        match self {
-            JoinCodec::Codes {
-                lcodes,
-                lnulls,
-                probe_map,
-                ..
-            } => {
-                if lnulls.is_some_and(|n| n.get(i)) {
-                    None
-                } else {
-                    Some(match probe_map[lcodes[i] as usize] {
-                        Some(c) => JPart::Code(c),
-                        None => JPart::Miss,
-                    })
-                }
-            }
-            JoinCodec::Vals { l, .. } => {
-                let v = l.get(i);
-                if v.is_null() {
-                    None
-                } else {
-                    Some(JPart::Val(v))
-                }
-            }
-        }
-    }
-
-    /// Append build row `i`'s canonical key-part encoding (the flat
+    /// Append build row `i`'s canonical key-part encoding (the hash
     /// table's arena bytes, see [`hive_common::hash`]); `false` = NULL
     /// key value, nothing appended.
     #[inline]
@@ -192,7 +121,7 @@ impl<'a> JoinCodec<'a> {
     /// Append probe row `i`'s canonical key-part encoding; `false` =
     /// NULL. A left dictionary entry absent from the right dictionary
     /// encodes as `TAG_MISS`, which no build key contains — the lookup
-    /// fails, exactly as [`JPart::Miss`] does on the `HashMap` arm.
+    /// fails, exactly as comparing the strings would.
     #[inline]
     fn encode_probe_part(&self, i: usize, out: &mut Vec<u8>) -> bool {
         match self {
@@ -242,10 +171,9 @@ impl<'a> JoinCodec<'a> {
 /// build). With no key columns (cross-style joins) every row shares the
 /// hash of the empty key.
 ///
-/// The same hash routes rows to build partitions on both toggle arms
-/// (replacing the old per-row `DefaultHasher`) and probes the flat
-/// table on the rawtable arm — by construction it equals `fnv1a` of the
-/// concatenated key-part encodings, i.e. of the arena key bytes.
+/// The same hash routes rows to build partitions and probes the hash
+/// table — by construction it equals `fnv1a` of the concatenated
+/// key-part encodings, i.e. of the arena key bytes.
 /// (Routing is result-invisible: output order comes from probe range
 /// order, so hashing codes instead of strings cannot change results.)
 fn hash_rows(codecs: &[JoinCodec<'_>], lo: usize, hi: usize, build: bool) -> Vec<Option<u64>> {
@@ -261,10 +189,9 @@ fn hash_rows(codecs: &[JoinCodec<'_>], lo: usize, hi: usize, build: bool) -> Vec
     hs
 }
 
-/// One partition of the flat-table join build. Each entry's candidate
-/// list is a singly linked chain through `next` in insertion
-/// (ascending right position) order — byte-compatible with the
-/// serial `HashMap` build's `Vec<u32>` push order.
+/// One partition of the join build. Each entry's candidate list is a
+/// singly linked chain through `next` in insertion (ascending right
+/// position) order.
 #[derive(Default)]
 struct RawBuild {
     table: RawTable,
@@ -277,10 +204,33 @@ struct RawBuild {
     next: Vec<u32>,
 }
 
-/// The build side under either toggle arm.
-enum BuildSide {
-    Map(Vec<HashMap<Vec<JPart>, Vec<u32>>>),
-    Raw(Vec<RawBuild>),
+impl RawBuild {
+    /// Append right position `ri` to the chain of the key `key` (hash `h`).
+    fn push(&mut self, h: u64, key: &[u8], ri: u32) {
+        let (e, inserted) = self.table.insert(h, key);
+        let link = self.rows.len() as u32;
+        self.rows.push(ri);
+        self.next.push(u32::MAX);
+        if inserted {
+            self.head.push(link);
+            self.tail.push(link);
+        } else {
+            self.next[self.tail[e as usize] as usize] = link;
+            self.tail[e as usize] = link;
+        }
+    }
+
+    /// Append the right positions matching `key` (hash `h`) to `out`,
+    /// in insertion order.
+    fn candidates(&self, h: u64, key: &[u8], out: &mut Vec<u32>) {
+        if let Some(e) = self.table.find(h, key) {
+            let mut link = self.head[e as usize];
+            while link != u32::MAX {
+                out.push(self.rows[link as usize]);
+                link = self.next[link as usize];
+            }
+        }
+    }
 }
 
 /// Execute a join with hash-partitioned parallel build and ranged
@@ -297,10 +247,6 @@ enum BuildSide {
 /// raises a retryable error so the driver can re-optimize with runtime
 /// statistics.
 ///
-/// `rawtable` selects the flat-table build (`hive.exec.rawtable.enabled`);
-/// both arms are byte-identical — the `HashMap` arm stays as the
-/// differential oracle.
-///
 /// `pir` is `Some` when the physical IR is enabled: residual predicates
 /// then lower to compiled kernels and evaluate vectorized over gathered
 /// candidate pair-batches ([`ResidualPlan`]), with the row closure kept
@@ -315,7 +261,6 @@ pub fn execute_join_par(
     out_schema: &Schema,
     build_row_budget: usize,
     workers: usize,
-    rawtable: bool,
     spill: Option<&SpillCtx<'_>>,
     pir: Option<&mut crate::pir::PirCounters>,
 ) -> Result<VectorBatch> {
@@ -433,7 +378,6 @@ pub fn execute_join_par(
             &residual_ok,
             out_schema,
             sp,
-            rawtable,
         )?;
         // Grace joins always interpret their residual (partitions probe
         // row-at-a-time off spill records) — pure fallback, no compiled
@@ -458,14 +402,11 @@ pub fn execute_join_par(
     // Hash-partitioned build over the right side: a key's rows all land
     // in one partition (keyed by the stable hash), and each partition
     // inserts its rows in ascending order, so every bucket's candidate
-    // list is exactly what the serial single-map build produces.
+    // list is exactly what the serial single-table build produces.
     let nparts = if workers <= 1 { 1 } else { workers };
-    // Build-side key hashes: route rows to partitions (parallel build)
-    // and double as the flat-table probe hash (rawtable arm at any
-    // worker count). The serial HashMap build needs neither.
-    let rhashes: Vec<Option<u64>> = if nparts == 1 && !rawtable {
-        Vec::new()
-    } else {
+    // Build-side key hashes: route rows to partitions and double as
+    // the table probe hash.
+    let rhashes: Vec<Option<u64>> = {
         let n = right.num_rows();
         let chunk = n.div_ceil(nparts).max(1);
         crate::par::parallel_map(workers, n.div_ceil(chunk), |c| {
@@ -475,72 +416,34 @@ pub fn execute_join_par(
         })?
         .concat()
     };
-    let build_side: BuildSide = if rawtable {
-        let parts = crate::par::parallel_map(workers, nparts, |p| {
-            let mut b = RawBuild::default();
-            let mut scratch: Vec<u8> = Vec::new();
-            for (i, rh) in rhashes.iter().enumerate() {
-                let h = match *rh {
-                    Some(h) if nparts == 1 || h as usize % nparts == p => h,
-                    _ => continue, // NULL key or other partition
-                };
-                scratch.clear();
-                for c in &codecs {
-                    // invariant: the hash existed, so no part is NULL.
-                    c.encode_build_part(i, &mut scratch);
-                }
-                let (e, inserted) = b.table.insert(h, &scratch);
-                let link = b.rows.len() as u32;
-                b.rows.push(i as u32);
-                b.next.push(u32::MAX);
-                if inserted {
-                    b.head.push(link);
-                    b.tail.push(link);
-                } else {
-                    b.next[b.tail[e as usize] as usize] = link;
-                    b.tail[e as usize] = link;
-                }
+    let builds: Vec<RawBuild> = crate::par::parallel_map(workers, nparts, |p| {
+        let mut b = RawBuild::default();
+        let mut scratch: Vec<u8> = Vec::new();
+        for (i, rh) in rhashes.iter().enumerate() {
+            let h = match *rh {
+                Some(h) if nparts == 1 || h as usize % nparts == p => h,
+                _ => continue, // NULL key or other partition
+            };
+            scratch.clear();
+            for c in &codecs {
+                // invariant: the hash existed, so no part is NULL.
+                c.encode_build_part(i, &mut scratch);
             }
-            Ok(b)
-        })?;
-        BuildSide::Raw(parts)
-    } else {
-        let tables = crate::par::parallel_map(workers, nparts, |p| {
-            let mut table: HashMap<Vec<JPart>, Vec<u32>> = HashMap::new();
-            #[allow(clippy::needless_range_loop)] // `i` is a row id, not just an index
-            'rows: for i in 0..right.num_rows() {
-                if nparts > 1 {
-                    match rhashes[i] {
-                        Some(h) if h as usize % nparts == p => {}
-                        _ => continue 'rows,
-                    }
-                }
-                let mut key = Vec::with_capacity(equi.len());
-                for c in &codecs {
-                    match c.build_part(i) {
-                        Some(p) => key.push(p),
-                        None => continue 'rows,
-                    }
-                }
-                table.entry(key).or_default().push(i as u32);
-            }
-            Ok(table)
-        })?;
-        BuildSide::Map(tables)
-    };
+            b.push(h, &scratch, i as u32);
+        }
+        Ok(b)
+    })?;
 
     // --- probe ------------------------------------------------------------
     // Contiguous left-row ranges probed in parallel; range outputs
     // concatenate in range order, reproducing the serial probe order.
     // Each range hashes its probe keys column-wise up front, then walks
-    // rows with reused key buffers — no per-row allocation on either
-    // arm (the `Vec<JPart>` and candidate-list clones are gone).
+    // rows with reused key buffers — no per-row allocation.
     let probe_range = |lo: u32, hi: u32| -> Result<ProbeOut> {
         let mut out = ProbeOut::default();
         let phashes = hash_rows(&codecs, lo as usize, hi as usize, false);
         let mut kept: Vec<u32> = Vec::new();
         let mut cands: Vec<u32> = Vec::new();
-        let mut key_parts: Vec<JPart> = Vec::with_capacity(codecs.len());
         let mut scratch: Vec<u8> = Vec::new();
         // Compiled-residual buffers: candidate pairs accumulate across
         // probe rows (`pr` = build positions, `spans` = per-probe-row
@@ -551,37 +454,11 @@ pub fn execute_join_par(
             cands.clear();
             // NULL probe keys (hash `None`) never match.
             if let Some(h) = phashes[(li - lo) as usize] {
-                let part = h as usize % nparts;
-                match &build_side {
-                    BuildSide::Map(tables) => {
-                        key_parts.clear();
-                        for c in &codecs {
-                            match c.probe_part(li as usize) {
-                                Some(p) => key_parts.push(p),
-                                // invariant: the hash existed, so no
-                                // part is NULL.
-                                None => unreachable!("NULL key part under a non-NULL key hash"),
-                            }
-                        }
-                        if let Some(cs) = tables[part].get(key_parts.as_slice()) {
-                            cands.extend_from_slice(cs);
-                        }
-                    }
-                    BuildSide::Raw(builds) => {
-                        scratch.clear();
-                        for c in &codecs {
-                            c.encode_probe_part(li as usize, &mut scratch);
-                        }
-                        let b = &builds[part];
-                        if let Some(e) = b.table.find(h, &scratch) {
-                            let mut link = b.head[e as usize];
-                            while link != u32::MAX {
-                                cands.push(b.rows[link as usize]);
-                                link = b.next[link as usize];
-                            }
-                        }
-                    }
+                scratch.clear();
+                for c in &codecs {
+                    c.encode_probe_part(li as usize, &mut scratch);
                 }
+                builds[h as usize % nparts].candidates(h, &scratch, &mut cands);
             }
             match &resid_plan {
                 Some(plan) => {
@@ -869,7 +746,6 @@ fn flush_pairs(
 /// one partition (same key ⇒ same hash ⇒ same route) and leaf chains
 /// insert in ascending right position, so the sorted pair list is
 /// byte-identical to the in-memory probe's emission order.
-#[allow(clippy::too_many_arguments)]
 fn grace_join(
     left: &SelBatch,
     right: &SelBatch,
@@ -878,7 +754,6 @@ fn grace_join(
     residual_ok: &dyn Fn(u32, u32) -> Result<bool>,
     out_schema: &Schema,
     sp: &SpillCtx<'_>,
-    rawtable: bool,
 ) -> Result<VectorBatch> {
     let op = sp.next_op();
     let rhashes = hash_rows(codecs, 0, right.num_rows(), true);
@@ -921,7 +796,6 @@ fn grace_join(
         op,
         join_type,
         codecs.len().max(1),
-        rawtable,
         residual_ok,
         0,
         None,
@@ -972,7 +846,6 @@ fn grace_solve(
     op: u64,
     join_type: JoinType,
     key_cols: usize,
-    rawtable: bool,
     residual_ok: &dyn Fn(u32, u32) -> Result<bool>,
     depth: u32,
     parent_build_rows: Option<usize>,
@@ -998,59 +871,23 @@ fn grace_solve(
             Some(g) => g,
             None => sp.broker.force_reserve("join-partition", est),
         };
-        let mut kept: Vec<u32> = Vec::new();
-        if rawtable {
-            let mut b = RawBuild::default();
-            for rec in RecIter::new(build) {
-                let (h, ri, key) = rec?;
-                let (e, inserted) = b.table.insert(h, key);
-                let link = b.rows.len() as u32;
-                b.rows.push(ri);
-                b.next.push(u32::MAX);
-                if inserted {
-                    b.head.push(link);
-                    b.tail.push(link);
-                } else {
-                    b.next[b.tail[e as usize] as usize] = link;
-                    b.tail[e as usize] = link;
+        let mut b = RawBuild::default();
+        for rec in RecIter::new(build) {
+            let (h, ri, key) = rec?;
+            b.push(h, key, ri);
+        }
+        let (mut cands, mut kept): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+        for rec in RecIter::new(probe) {
+            let (h, li, key) = rec?;
+            cands.clear();
+            b.candidates(h, key, &mut cands);
+            kept.clear();
+            for &ri in &cands {
+                if residual_ok(li, ri)? {
+                    kept.push(ri);
                 }
             }
-            for rec in RecIter::new(probe) {
-                let (h, li, key) = rec?;
-                kept.clear();
-                if let Some(e) = b.table.find(h, key) {
-                    let mut link = b.head[e as usize];
-                    while link != u32::MAX {
-                        let ri = b.rows[link as usize];
-                        if residual_ok(li, ri)? {
-                            kept.push(ri);
-                        }
-                        link = b.next[link as usize];
-                    }
-                }
-                emit_probe(join_type, li, &kept, out);
-            }
-        } else {
-            // Differential-oracle arm: keyed by the canonical encoding
-            // bytes (encoding equality ⟺ key equality, so this matches
-            // the `Vec<JPart>` map byte for byte).
-            let mut table: HashMap<Vec<u8>, Vec<u32>> = HashMap::new();
-            for rec in RecIter::new(build) {
-                let (_h, ri, key) = rec?;
-                table.entry(key.to_vec()).or_default().push(ri);
-            }
-            for rec in RecIter::new(probe) {
-                let (_h, li, key) = rec?;
-                kept.clear();
-                if let Some(cands) = table.get(key) {
-                    for &ri in cands {
-                        if residual_ok(li, ri)? {
-                            kept.push(ri);
-                        }
-                    }
-                }
-                emit_probe(join_type, li, &kept, out);
-            }
+            emit_probe(join_type, li, &kept, out);
         }
         return Ok(());
     }
@@ -1107,7 +944,6 @@ fn grace_solve(
             op,
             join_type,
             key_cols,
-            rawtable,
             residual_ok,
             depth + 1,
             Some(brows),
@@ -1428,7 +1264,6 @@ mod tests {
             &out_schema,
             usize::MAX,
             1,
-            true,
             Some(&sp),
             None,
         )
@@ -1444,7 +1279,6 @@ mod tests {
         use std::sync::atomic::AtomicU64;
         let l = big_batch("l", 9_000, 500);
         let r = big_batch("r", 3_000, 500);
-        let equi = vec![(ScalarExpr::Column(0), ScalarExpr::Column(0))];
         for jt in [
             JoinType::Inner,
             JoinType::Left,
@@ -1460,57 +1294,32 @@ mod tests {
             };
             let lsb = SelBatch::from_batch(l.clone());
             let rsb = SelBatch::from_batch(r.clone());
-            let base = execute_join_par(
-                &lsb,
-                &rsb,
-                jt,
-                &equi,
-                &None,
-                &out_schema,
-                1_000_000,
-                1,
-                false,
-                None,
-                None,
-            )
-            .unwrap();
-            let base_rows: Vec<String> = base.to_rows().iter().map(|row| row.to_string()).collect();
-            for rawtable in [false, true] {
-                let fs = DistFs::new();
-                // A few KB: far below the build estimate, so the grace
-                // path must engage and recurse at least one level.
-                let broker = MemoryBroker::with_budget(16 * 1024);
-                let ops = AtomicU64::new(0);
-                let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q0"), &broker, true, &ops);
-                let out = execute_join_par(
-                    &lsb,
-                    &rsb,
-                    jt,
-                    &equi,
-                    &None,
-                    &out_schema,
-                    1_000_000,
-                    1,
-                    rawtable,
-                    Some(&sp),
-                    None,
-                )
-                .unwrap();
-                let rows: Vec<String> = out.to_rows().iter().map(|row| row.to_string()).collect();
-                assert_eq!(rows, base_rows, "{jt:?} grace rawtable={rawtable} diverged");
-                assert!(
-                    sp.stats.bytes_written() > 0,
-                    "{jt:?} grace run never spilled"
-                );
-                assert!(sp.stats.bytes_read() > 0, "partitions were read back");
-                assert!(
-                    fs.list_files_recursive(&DfsPath::new("/tmp/spill"))
-                        .is_empty(),
-                    "spill files all deleted after the join"
-                );
-                assert!(broker.denials() > 0);
-                assert_eq!(broker.reserved(), 0, "all grants released");
-            }
+            let expected = reference_join(&l, &r, jt);
+            assert_eq!(
+                par_rows(&lsb, &rsb, jt, &out_schema, 1, None),
+                expected,
+                "{jt:?} in-memory build diverged from the reference"
+            );
+            let fs = DistFs::new();
+            // A few KB: far below the build estimate, so the grace path
+            // must engage and recurse at least one level.
+            let broker = MemoryBroker::with_budget(16 * 1024);
+            let ops = AtomicU64::new(0);
+            let sp = SpillCtx::new(&fs, DfsPath::new("/tmp/spill/q0"), &broker, true, &ops);
+            let rows = par_rows(&lsb, &rsb, jt, &out_schema, 1, Some(&sp));
+            assert_eq!(rows, expected, "{jt:?} grace join diverged");
+            assert!(
+                sp.stats.bytes_written() > 0,
+                "{jt:?} grace run never spilled"
+            );
+            assert!(sp.stats.bytes_read() > 0, "partitions were read back");
+            assert!(
+                fs.list_files_recursive(&DfsPath::new("/tmp/spill"))
+                    .is_empty(),
+                "spill files all deleted after the join"
+            );
+            assert!(broker.denials() > 0);
+            assert_eq!(broker.reserved(), 0, "all grants released");
         }
     }
 
@@ -1552,11 +1361,87 @@ mod tests {
         VectorBatch::from_rows(&schema, &rows).unwrap()
     }
 
+    /// Run `execute_join_par` on column 0 of each side and render rows
+    /// in output order.
+    fn par_rows(
+        l: &SelBatch,
+        r: &SelBatch,
+        jt: JoinType,
+        out_schema: &Schema,
+        workers: usize,
+        spill: Option<&SpillCtx<'_>>,
+    ) -> Vec<String> {
+        let equi = vec![(ScalarExpr::Column(0), ScalarExpr::Column(0))];
+        let out = execute_join_par(
+            l, r, jt, &equi, &None, out_schema, 1_000_000, workers, spill, None,
+        )
+        .unwrap();
+        out.to_rows().iter().map(|row| row.to_string()).collect()
+    }
+
+    /// Row-at-a-time reference for an equi-join on column 0 of each
+    /// side, with no hashing: build rows collect under their distinct
+    /// keys by a linear scan with `Value::group_eq`, and each probe row
+    /// finds its key the same way (NULL keys never match). Matches emit
+    /// in probe order, build rows ascending, unmatched build rows last —
+    /// the output order the hash join promises.
+    fn reference_join(l: &VectorBatch, r: &VectorBatch, jt: JoinType) -> Vec<String> {
+        let (lrows, rrows) = (l.to_rows(), r.to_rows());
+        let joined = |a: &[Value], b: &[Value]| Row::new([a, b].concat()).to_string();
+        let (lnull, rnull) = (
+            vec![Value::Null; l.num_columns()],
+            vec![Value::Null; r.num_columns()],
+        );
+        let mut build: Vec<(&Value, Vec<usize>)> = Vec::new();
+        for (j, rr) in rrows.iter().enumerate() {
+            let k = rr.get(0);
+            if k.is_null() {
+                continue;
+            }
+            match build.iter_mut().find(|(bk, _)| bk.group_eq(k)) {
+                Some((_, js)) => js.push(j),
+                None => build.push((k, vec![j])),
+            }
+        }
+        let mut out = Vec::new();
+        let mut matched = vec![false; rrows.len()];
+        for lr in &lrows {
+            let k = lr.get(0);
+            let hits: &[usize] = match build.iter().find(|(bk, _)| !k.is_null() && bk.group_eq(k)) {
+                Some((_, js)) => js,
+                None => &[],
+            };
+            match jt {
+                JoinType::Semi | JoinType::Anti => {
+                    if hits.is_empty() == (jt == JoinType::Anti) {
+                        out.push(lr.to_string());
+                    }
+                }
+                _ => {
+                    for &j in hits {
+                        matched[j] = true;
+                        out.push(joined(lr.values(), rrows[j].values()));
+                    }
+                    if hits.is_empty() && matches!(jt, JoinType::Left | JoinType::Full) {
+                        out.push(joined(lr.values(), &rnull));
+                    }
+                }
+            }
+        }
+        if matches!(jt, JoinType::Right | JoinType::Full) {
+            for (j, rr) in rrows.iter().enumerate() {
+                if !matched[j] {
+                    out.push(joined(&lnull, rr.values()));
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn parallel_join_is_byte_identical_for_every_join_type() {
         let l = big_batch("l", 9_000, 500);
         let r = big_batch("r", 3_000, 500);
-        let equi = vec![(ScalarExpr::Column(0), ScalarExpr::Column(0))];
         for jt in [
             JoinType::Inner,
             JoinType::Left,
@@ -1572,47 +1457,14 @@ mod tests {
             };
             let lsb = SelBatch::from_batch(l.clone());
             let rsb = SelBatch::from_batch(r.clone());
-            // Oracle: serial HashMap build. Every (workers, rawtable)
-            // combo must reproduce it byte for byte.
-            let base = execute_join_par(
-                &lsb,
-                &rsb,
-                jt,
-                &equi,
-                &None,
-                &out_schema,
-                1_000_000,
-                1,
-                false,
-                None,
-                None,
-            )
-            .unwrap();
-            let base_rows: Vec<String> = base.to_rows().iter().map(|row| row.to_string()).collect();
-            assert!(base.num_rows() > 0, "{jt:?} produced no rows");
+            let expected = reference_join(&l, &r, jt);
+            assert!(!expected.is_empty(), "{jt:?} produced no rows");
             for workers in [1, 2, 8] {
-                for rawtable in [false, true] {
-                    let out = execute_join_par(
-                        &lsb,
-                        &rsb,
-                        jt,
-                        &equi,
-                        &None,
-                        &out_schema,
-                        1_000_000,
-                        workers,
-                        rawtable,
-                        None,
-                        None,
-                    )
-                    .unwrap();
-                    let rows: Vec<String> =
-                        out.to_rows().iter().map(|row| row.to_string()).collect();
-                    assert_eq!(
-                        rows, base_rows,
-                        "{jt:?} with {workers} workers rawtable={rawtable} diverged"
-                    );
-                }
+                assert_eq!(
+                    par_rows(&lsb, &rsb, jt, &out_schema, workers, None),
+                    expected,
+                    "{jt:?} with {workers} workers diverged"
+                );
             }
         }
     }
@@ -1641,10 +1493,10 @@ mod tests {
     }
 
     #[test]
-    fn dict_join_keys_match_across_toggle() {
+    fn dict_join_keys_match_the_reference() {
         // dict×dict joins key on right-side codes; dict-only-left
-        // entries must miss on both arms. Columns are built as real
-        // dictionary vectors so the `Codes` codec engages.
+        // entries must miss. Columns are built as real dictionary
+        // vectors so the `Codes` codec engages.
         let mk = |codes: Vec<u32>, dict: &[&str]| {
             let schema = Schema::new(vec![Field::new("k", DataType::String)]);
             let dict = Arc::new(dict.iter().map(|s| s.to_string()).collect::<Vec<_>>());
@@ -1655,29 +1507,12 @@ mod tests {
         // l: a b c a zz — "c"/"zz" absent from the right dictionary.
         let l = mk(vec![0, 1, 2, 0, 3], &["a", "b", "c", "zz"]);
         let r = mk(vec![0, 1, 0], &["b", "a"]);
-        let equi = vec![(ScalarExpr::Column(0), ScalarExpr::Column(0))];
         let out_schema = l.schema().join(r.schema());
+        let expected = reference_join(&l, &r, JoinType::Left);
         let lsb = SelBatch::from_batch(l);
         let rsb = SelBatch::from_batch(r);
-        let run = |rawtable: bool| -> Vec<String> {
-            let out = execute_join_par(
-                &lsb,
-                &rsb,
-                JoinType::Left,
-                &equi,
-                &None,
-                &out_schema,
-                1_000_000,
-                1,
-                rawtable,
-                None,
-                None,
-            )
-            .unwrap();
-            out.to_rows().iter().map(|row| row.to_string()).collect()
-        };
-        let oracle = run(false);
-        assert_eq!(run(true), oracle);
-        assert!(oracle.contains(&"zz\tNULL".to_string()), "{oracle:?}");
+        let rows = par_rows(&lsb, &rsb, JoinType::Left, &out_schema, 1, None);
+        assert_eq!(rows, expected);
+        assert!(rows.contains(&"zz\tNULL".to_string()), "{rows:?}");
     }
 }

@@ -468,16 +468,12 @@ fn try_fast_arith(
             let (out, n) = arith_map(v, nl, |a: i32| iop(a as i128, y) as i32);
             Some(ColumnVector::Int(out, n))
         }
-        // Mixed Int/BigInt widths: `numeric_binop` always feeds the Int
-        // operand to the op first, whichever side it came from, so only
-        // the commutative ops are safe to specialize here — Minus falls
-        // back to preserve that exact behavior.
-        (ColumnVector::Int(v, nl), Value::BigInt(x)) if op != BinaryOp::Minus => {
+        (ColumnVector::Int(v, nl), Value::BigInt(x)) => {
             let y = *x as i128;
             let (out, n) = arith_map(v, nl, |a: i32| iop(a as i128, y) as i64);
             Some(ColumnVector::BigInt(out, n))
         }
-        (ColumnVector::BigInt(v, nl), Value::Int(x)) if op != BinaryOp::Minus => {
+        (ColumnVector::BigInt(v, nl), Value::Int(x)) => {
             let y = *x as i128;
             let (out, n) = arith_map(v, nl, |a: i64| iop(a as i128, y) as i64);
             Some(ColumnVector::BigInt(out, n))
@@ -807,8 +803,8 @@ mod tests {
                 }
             }
         }
-        // Sanity: the shapes above (except mixed-width Minus) really do
-        // hit the typed kernel rather than silently falling back.
+        // Sanity: the shapes above really do hit the typed kernel
+        // rather than silently falling back.
         let e = bin(
             BinaryOp::Plus,
             ScalarExpr::Column(0),
@@ -821,26 +817,29 @@ mod tests {
         assert!(try_fast_arith(op, &left, &right, &holey).unwrap().is_some());
     }
 
-    /// Mixed Int/BigInt subtraction is deliberately NOT specialized:
-    /// `numeric_binop` binds the Int operand first regardless of side,
-    /// and the kernel must not paper over that. The fallback is still
-    /// the ground truth.
+    /// Mixed Int/BigInt subtraction runs the typed kernel and equals
+    /// the row fallback in both operand orders.
     #[test]
-    fn mixed_width_minus_falls_back() {
-        let (dense, _) = numeric_batches();
-        let e = bin(
-            BinaryOp::Minus,
-            ScalarExpr::Column(0),
-            ScalarExpr::Literal(Value::BigInt(5)),
-        );
-        let ScalarExpr::Binary { op, left, right } = &e else {
-            unreachable!()
-        };
-        assert!(try_fast_arith(*op, left, right, &dense).unwrap().is_none());
-        // And the public entry point agrees with the row interpreter.
-        let fast = eval_vector(&e, &dense).unwrap();
-        let slow = fallback(&e, &dense).unwrap();
-        assert_eq!(*fast.as_ref(), slow);
+    fn mixed_width_minus_uses_fast_path() {
+        let (dense, holey) = numeric_batches();
+        for (col, lit) in [(0, Value::BigInt(5)), (1, Value::Int(11))] {
+            for flipped in [false, true] {
+                let (l, r) = if flipped {
+                    (ScalarExpr::Literal(lit.clone()), ScalarExpr::Column(col))
+                } else {
+                    (ScalarExpr::Column(col), ScalarExpr::Literal(lit.clone()))
+                };
+                let e = bin(BinaryOp::Minus, l, r);
+                let ScalarExpr::Binary { op, left, right } = &e else {
+                    unreachable!()
+                };
+                for b in [&dense, &holey] {
+                    let fast = try_fast_arith(*op, left, right, b).unwrap();
+                    let fast = fast.expect("mixed-width minus must hit the typed kernel");
+                    assert_eq!(fast, fallback(&e, b).unwrap(), "divergence for {e}");
+                }
+            }
+        }
     }
 
     /// Comparison kernels and the AND/OR combinator agree with the row

@@ -225,7 +225,7 @@ pub(crate) fn encode_cell(col: &ColumnVector, i: usize, out: &mut Vec<u8>) {
 }
 
 /// Encode one whole row of `batch` (every column, NULLs included) —
-/// the set-op key, byte-equivalent to the `Row`-keyed `HashMap` oracle.
+/// the set-op key: two rows encode equal exactly when they group equal.
 #[inline]
 pub(crate) fn encode_row(batch: &hive_common::VectorBatch, i: usize, out: &mut Vec<u8>) {
     for c in batch.columns() {

@@ -16,14 +16,10 @@ use std::sync::Arc;
 /// per window expression is appended. The input arrives as a
 /// `(batch, selection)` pair; output is 1:1 with the *selected* rows
 /// (window output is compact — a pipeline breaker by nature).
-/// `rawtable` selects the flat-table partition index
-/// (`hive.exec.rawtable.enabled`); both arms bucket identical rows —
-/// the `HashMap` arm stays as the differential oracle.
 pub fn execute_window(
     input: &SelBatch,
     windows: &[WindowExpr],
     out_schema: &hive_common::Schema,
-    rawtable: bool,
 ) -> Result<VectorBatch> {
     // Bare columns and literals read straight through the selection;
     // computed expressions need a compact domain, so compact once.
@@ -54,7 +50,7 @@ pub fn execute_window(
     };
     for w in windows {
         let dt = window_output_type(w, input.schema());
-        let values = eval_one_window(&input, w, rawtable)?;
+        let values = eval_one_window(&input, w)?;
         let mut b = ColumnBuilder::new(&dt)?;
         for v in &values {
             b.push(v)?;
@@ -69,7 +65,7 @@ pub fn execute_window(
 /// Evaluate one window expression. All bookkeeping (partition lists,
 /// sort order, frames, the output vec) lives in *position* space
 /// (0..selected rows); column reads map through `input.sel`.
-fn eval_one_window(input: &SelBatch, w: &WindowExpr, rawtable: bool) -> Result<Vec<Value>> {
+fn eval_one_window(input: &SelBatch, w: &WindowExpr) -> Result<Vec<Value>> {
     let n = input.num_rows();
     let at = |pos: usize| input.sel.index(pos);
     // Partition keys and order keys evaluated once.
@@ -89,42 +85,30 @@ fn eval_one_window(input: &SelBatch, w: &WindowExpr, rawtable: bool) -> Result<V
         .map(|e| eval_vector(e, &input.batch))
         .collect::<Result<Vec<_>>>()?;
 
-    // Group positions by partition key. Dictionary-encoded partition
-    // columns key by u32 code via [`KeyReader`] — no string clones.
+    // Group positions by partition key: partitions are keyed by
+    // canonical key-part bytes in the table arena (dictionary-encoded
+    // columns contribute their u32 code via [`KeyReader`] — no string
+    // clones); bucket index = entry id, dense in first-seen order.
     // (Output cells are written per position, so partition iteration
     // order is irrelevant to results.)
     let part_readers: Vec<KeyReader<'_>> = part_cols
         .iter()
         .map(|c| KeyReader::new(c.as_ref()))
         .collect();
-    let buckets: Vec<Vec<usize>> = if rawtable {
-        // Flat-table arm: partitions keyed by canonical key-part bytes
-        // in the table arena; bucket index = entry id (dense in
-        // first-seen order), no per-row `Vec<KeyPart>`.
-        let mut table = RawTable::new();
-        let mut scratch: Vec<u8> = Vec::new();
-        let mut buckets: Vec<Vec<usize>> = Vec::new();
-        for pos in 0..n {
-            scratch.clear();
-            for r in &part_readers {
-                r.encode_part_at(at(pos), &mut scratch);
-            }
-            let (e, inserted) = table.insert(hash::fnv1a(&scratch), &scratch);
-            if inserted {
-                buckets.push(Vec::new());
-            }
-            buckets[e as usize].push(pos);
+    let mut table = RawTable::new();
+    let mut scratch: Vec<u8> = Vec::new();
+    let mut buckets: Vec<Vec<usize>> = Vec::new();
+    for pos in 0..n {
+        scratch.clear();
+        for r in &part_readers {
+            r.encode_part_at(at(pos), &mut scratch);
         }
-        buckets
-    } else {
-        let mut partitions: std::collections::HashMap<Vec<KeyPart>, Vec<usize>> =
-            std::collections::HashMap::new();
-        for pos in 0..n {
-            let key: Vec<KeyPart> = part_readers.iter().map(|r| r.part(at(pos))).collect();
-            partitions.entry(key).or_default().push(pos);
+        let (e, inserted) = table.insert(hash::fnv1a(&scratch), &scratch);
+        if inserted {
+            buckets.push(Vec::new());
         }
-        partitions.into_values().collect()
-    };
+        buckets[e as usize].push(pos);
+    }
 
     let order_readers: Vec<KeyReader<'_>> = order_cols
         .iter()
@@ -424,11 +408,7 @@ mod tests {
             fields.push(Field::new("_w0", window_output_type(&w, b.schema())));
             Schema::new(fields)
         };
-        // Both toggle arms must agree on every case in this module.
-        let sb = SelBatch::from_batch(b);
-        let out = execute_window(&sb, std::slice::from_ref(&w), &plan_schema, true).unwrap();
-        let oracle = execute_window(&sb, &[w], &plan_schema, false).unwrap();
-        assert_eq!(out, oracle, "toggle arms diverged");
+        let out = execute_window(&SelBatch::from_batch(b), &[w], &plan_schema).unwrap();
         (0..out.num_rows()).map(|i| out.column(2).get(i)).collect()
     }
 

@@ -28,11 +28,6 @@
 # hive.exec.selvec.enabled) — results must be identical either way —
 # then runs the selvec benchmark, which refreshes BENCH_selvec.json.
 #
-# HIVE_RAWTABLE_SWEEP=1 re-runs the test suite with the flat hash
-# table forced off and then on (HIVE_RAWTABLE_ENABLED overrides
-# hive.exec.rawtable.enabled) — results must be identical either way —
-# then runs the hashtable benchmark, which refreshes BENCH_hash.json.
-#
 # HIVE_SPILL_SWEEP=1 re-runs the test suite under a forced tiny
 # per-query memory budget (HIVE_MEMORY_BUDGET overrides
 # hive.exec.memory.per.query.bytes), pushing every blocking operator
@@ -67,7 +62,6 @@ if [[ -n "${HIVE_SWEEP_ALL:-}" ]]; then
     : "${HIVE_PAR_SWEEP:=1}"
     : "${HIVE_DICT_SWEEP:=1}"
     : "${HIVE_SELVEC_SWEEP:=1}"
-    : "${HIVE_RAWTABLE_SWEEP:=1}"
     : "${HIVE_SPILL_SWEEP:=1}"
     : "${HIVE_PIR_SWEEP:=1}"
     : "${HIVE_STATS_SWEEP:=1}"
@@ -82,6 +76,12 @@ cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
 echo "== build (release) =="
 cargo build --release --offline
+
+# The end-to-end benchmark crate lives outside the workspace; build it
+# exactly as benchmark/run.py does, so a public-API change that breaks
+# it fails here.
+echo "== build benchmark crate =="
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== tests =="
 cargo test -q --offline --workspace
@@ -120,15 +120,6 @@ if [[ -n "${HIVE_SELVEC_SWEEP:-}" ]]; then
     done
     echo "== selvec sweep: benchmark (writes BENCH_selvec.json) =="
     cargo bench -q --offline -p hive-bench --bench selvec
-fi
-
-if [[ -n "${HIVE_RAWTABLE_SWEEP:-}" ]]; then
-    for raw in 0 1; do
-        echo "== rawtable sweep: tests at HIVE_RAWTABLE_ENABLED=$raw =="
-        HIVE_RAWTABLE_ENABLED="$raw" cargo test -q --offline --workspace
-    done
-    echo "== rawtable sweep: benchmark (writes BENCH_hash.json) =="
-    cargo bench -q --offline -p hive-bench --bench hashtable
 fi
 
 if [[ -n "${HIVE_SPILL_SWEEP:-}" ]]; then

@@ -163,3 +163,43 @@ fn write_write_conflicts_surface_to_clients() {
     let r = a.execute("SELECT v FROM c WHERE k = 1").unwrap();
     assert_eq!(r.rows()[0].get(0), &Value::Int(12));
 }
+
+/// Regression: `BIGINT - INT` once computed `INT - BIGINT`, and
+/// `DECIMAL - INT` fell back to DOUBLE. Column-column, column-literal
+/// (the vectorized fast path) and literal-column shapes must all give
+/// the right value and type, vectorized or not, and an UPDATE that
+/// subtracts from a BIGINT column must store the difference.
+#[test]
+fn mixed_width_subtraction_keeps_operand_order() {
+    for vectorized in [true, false] {
+        let server = HiveServer::new(HiveConf::v3_1().with(|c| {
+            c.vectorized = vectorized;
+            c.results_cache = false;
+        }));
+        let s = server.session();
+        s.execute("CREATE TABLE acct (b BIGINT, i INT, d DECIMAL(10,2))")
+            .unwrap();
+        s.execute("INSERT INTO acct VALUES (100, 18, 2.50)")
+            .unwrap();
+        let r = s
+            .execute("SELECT b - i, i - b, d - i, i - d, b - 18, 18 - b, d - 1 FROM acct")
+            .unwrap();
+        assert_eq!(
+            r.display_rows(),
+            vec!["82\t-82\t-15.50\t15.50\t82\t-82\t1.50"],
+            "vectorized={vectorized}"
+        );
+        let v = &r.rows()[0];
+        // `==` is SQL equality (INT 82 = BIGINT 82), so types are matched.
+        assert!(matches!(v.get(0), Value::BigInt(82)), "{:?}", v.get(0));
+        assert!(matches!(v.get(1), Value::BigInt(-82)), "{:?}", v.get(1));
+        assert!(
+            matches!(v.get(2), Value::Decimal(-1550, 2)),
+            "{:?}",
+            v.get(2)
+        );
+        s.execute("UPDATE acct SET b = b - 18").unwrap();
+        let r = s.execute("SELECT b FROM acct").unwrap();
+        assert_eq!(r.display_rows(), vec!["82"], "vectorized={vectorized}");
+    }
+}

@@ -7,6 +7,8 @@
 use hive_warehouse::benchdata::tpcds::{self, TpcdsScale};
 use hive_warehouse::{FaultPlan, HiveConf, HiveServer};
 
+mod golden;
+
 /// The env knob overrides the conf field (so `HIVE_PAR_SWEEP` can steer
 /// whole test runs); this binary manages thread counts itself, so drop
 /// the variable once before any server is built.
@@ -38,10 +40,12 @@ fn load_server(threads: usize) -> HiveServer {
 }
 
 /// Every curated TPC-DS query returns identical rows at 1, 2, and 8
-/// threads.
+/// threads, and those rows match the golden digests.
 #[test]
 fn thread_count_never_changes_results() {
     let queries = tpcds::queries();
+    let golden = golden::golden();
+    assert_eq!(golden.len(), queries.len(), "one golden line per query");
     let baseline_server = load_server(1);
     let baseline: Vec<(String, Vec<String>)> = queries
         .iter()
@@ -50,6 +54,9 @@ fn thread_count_never_changes_results() {
             (q.id.to_string(), r.display_rows())
         })
         .collect();
+    for (id, rows) in &baseline {
+        golden::assert_golden(&golden, id, rows, "at 1 thread");
+    }
     for threads in [2, 8] {
         let server = load_server(threads);
         for (id, expected) in &baseline {
@@ -97,5 +104,27 @@ fn daemon_death_plan_is_deterministic_across_thread_counts() {
             (sim_ms, retries),
             "fault penalty must replay exactly at {threads} threads"
         );
+    }
+}
+
+/// Every curated TPC-DS query under a seeded fault plan (daemon deaths,
+/// transient and slow DFS reads, recovery enabled) at 2 threads still
+/// returns its golden rows.
+#[test]
+fn faulted_runs_match_the_golden_digests() {
+    let golden = golden::golden();
+    let server = load_server(2);
+    server.set_conf(|c| {
+        c.fault = FaultPlan::none().with(|p| {
+            p.seed = 0xF1A7_AB1E;
+            p.daemon_kill_prob = 0.8;
+            p.dfs_read_error_prob = 0.05;
+            p.dfs_slow_prob = 0.1;
+            p.dfs_slow_ms = 4.0;
+        })
+    });
+    for q in &tpcds::queries() {
+        let rows = server.session().execute(&q.sql).unwrap().display_rows();
+        golden::assert_golden(&golden, q.id, &rows, "under the fault plan");
     }
 }

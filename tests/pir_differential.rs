@@ -25,7 +25,6 @@ fn neutralize_env() {
         std::env::remove_var("HIVE_PIR_ENABLED");
         std::env::remove_var("HIVE_SELVEC_ENABLED");
         std::env::remove_var("HIVE_DICT_ENABLED");
-        std::env::remove_var("HIVE_RAWTABLE_ENABLED");
         std::env::remove_var("HIVE_PARALLEL_THREADS");
     });
 }

@@ -1,132 +1,15 @@
-//! Flat-hash-table differential suite: `hive.exec.rawtable.enabled`
-//! may only change the hash-table representation inside join,
-//! aggregate, window, and set-operation execution — never results.
-//! Every curated TPC-DS query must return byte-identical rows with the
-//! flat table on and off — fault-free, under a seeded fault plan with
-//! recovery, and across the 1/2/8 thread sweep. Property tests then
-//! drive the table itself against a `HashMap` model through forced
-//! fingerprint collisions and growth boundaries.
+//! Flat-hash-table model suite: property tests drive
+//! [`RawTable`] — the one hash table behind join, GROUP BY, DISTINCT,
+//! window partitioning and set operations — against a `HashMap` model,
+//! through forced fingerprint collisions and growth boundaries. The
+//! model is the oracle for the table's own contract, so it lives here
+//! and not in the operators. Operator results are pinned by the golden
+//! digests in `tests/golden/tpcds_da7a.tsv` (`parallel_determinism.rs`,
+//! `spill_differential.rs`).
 
 use hive_exec::RawTable;
-use hive_warehouse::benchdata::tpcds::{self, TpcdsScale};
-use hive_warehouse::{FaultPlan, HiveConf, HiveServer};
 use proptest::prelude::*;
 use std::collections::HashMap;
-
-/// Env knobs override the conf fields; this binary manages both itself.
-fn neutralize_env() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        std::env::remove_var("HIVE_RAWTABLE_ENABLED");
-        std::env::remove_var("HIVE_SELVEC_ENABLED");
-        std::env::remove_var("HIVE_DICT_ENABLED");
-        std::env::remove_var("HIVE_PARALLEL_THREADS");
-    });
-}
-
-/// Big enough that aggregates and joins grow their tables through
-/// several doublings and the parallel build actually partitions.
-fn scale() -> TpcdsScale {
-    TpcdsScale {
-        days: 8,
-        items: 150,
-        customers: 200,
-        stores: 4,
-        sales_per_day: 1500,
-        return_rate: 0.1,
-    }
-}
-
-fn load_server(rawtable: bool, threads: usize) -> HiveServer {
-    neutralize_env();
-    let mut conf = HiveConf::v3_1();
-    conf.rawtable_enabled = rawtable;
-    conf.parallel_threads = threads;
-    let server = HiveServer::new(conf);
-    tpcds::load(&server, scale(), 0xDA7A).unwrap();
-    server
-}
-
-/// Every curated TPC-DS query: flat table on == off, byte for byte.
-#[test]
-fn rawtable_toggle_never_changes_results() {
-    let queries = tpcds::queries();
-    let off = load_server(false, 1);
-    let on = load_server(true, 1);
-    for q in &queries {
-        let expected = off.session().execute(&q.sql).unwrap().display_rows();
-        let got = on.session().execute(&q.sql).unwrap().display_rows();
-        assert_eq!(got, expected, "{} diverged with the flat hash table", q.id);
-    }
-}
-
-/// The toggle stays invisible across worker counts: for each thread
-/// count the rawtable-on rows equal the rawtable-off rows, and all
-/// equal the 1-thread baseline.
-#[test]
-fn rawtable_toggle_is_invisible_across_thread_sweep() {
-    let query = &tpcds::queries()[0]; // q3: scan + join + group + order
-    let baseline = load_server(false, 1)
-        .session()
-        .execute(&query.sql)
-        .unwrap()
-        .display_rows();
-    assert!(!baseline.is_empty());
-    for threads in [1, 2, 8] {
-        for rawtable in [false, true] {
-            let rows = load_server(rawtable, threads)
-                .session()
-                .execute(&query.sql)
-                .unwrap()
-                .display_rows();
-            assert_eq!(
-                rows, baseline,
-                "rawtable={rawtable} at {threads} threads diverged"
-            );
-        }
-    }
-}
-
-/// A seeded fault plan (daemon deaths, transient DFS errors, recovery
-/// enabled) yields the fault-free rows under both settings, and the
-/// simulated fault penalty replays exactly within each setting.
-#[test]
-fn faulted_runs_match_under_both_settings() {
-    let query = &tpcds::queries()[0];
-    let baseline = load_server(false, 1)
-        .session()
-        .execute(&query.sql)
-        .unwrap()
-        .display_rows();
-
-    let plan = FaultPlan::none().with(|p| {
-        p.seed = 0xF1A7_AB1E;
-        p.daemon_kill_prob = 0.8;
-        p.dfs_read_error_prob = 0.05;
-        p.dfs_slow_prob = 0.1;
-        p.dfs_slow_ms = 4.0;
-    });
-    let run = |rawtable: bool| -> (Vec<String>, f64, u64) {
-        let server = load_server(rawtable, 2);
-        server.set_conf(|c| c.fault = plan.clone());
-        let r = server.session().execute(&query.sql).unwrap();
-        (r.display_rows(), r.sim_ms, r.fragment_retries)
-    };
-    for rawtable in [false, true] {
-        let (rows, sim_ms, retries) = run(rawtable);
-        assert_eq!(
-            rows, baseline,
-            "faulted run diverged with rawtable={rawtable}"
-        );
-        let (rows2, sim_ms2, retries2) = run(rawtable);
-        assert_eq!(rows2, baseline);
-        assert_eq!(
-            (sim_ms2, retries2),
-            (sim_ms, retries),
-            "fault penalty must replay exactly with rawtable={rawtable}"
-        );
-    }
-}
 
 /// FNV-1a as the table uses it (the real hash for the model runs).
 fn fnv(key: &[u8]) -> u64 {

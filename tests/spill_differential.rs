@@ -14,6 +14,8 @@ use hive_warehouse::benchdata::tpcds::{self, TpcdsScale};
 use hive_warehouse::{FaultPlan, HiveConf, HiveServer};
 use proptest::prelude::*;
 
+mod golden;
+
 /// A budget small enough that every blocking operator at this scale
 /// overflows it, yet large enough to keep recursion shallow.
 const TINY_BUDGET: usize = 32 * 1024;
@@ -24,7 +26,6 @@ fn neutralize_env() {
     ONCE.call_once(|| {
         std::env::remove_var("HIVE_SPILL_ENABLED");
         std::env::remove_var("HIVE_MEMORY_BUDGET");
-        std::env::remove_var("HIVE_RAWTABLE_ENABLED");
         std::env::remove_var("HIVE_SELVEC_ENABLED");
         std::env::remove_var("HIVE_DICT_ENABLED");
         std::env::remove_var("HIVE_PARALLEL_THREADS");
@@ -84,6 +85,22 @@ fn tiny_budget_never_changes_results() {
         .fs()
         .list_files_recursive(&hive_warehouse::DfsPath::new("/tmp/hive/spill"));
     assert!(leftovers.is_empty(), "orphan spill files: {leftovers:?}");
+}
+
+/// The tiny budget at 2 threads reproduces every curated query's
+/// golden rows, so the grace join and the spilled GROUP BY are checked
+/// against a fixed answer and not only against the in-memory run.
+#[test]
+fn tiny_budget_matches_the_golden_digests() {
+    let golden = golden::golden();
+    let tiny = load_server(TINY_BUDGET, 2);
+    let mut total_spilled = 0u64;
+    for q in &tpcds::queries() {
+        let r = tiny.session().execute(&q.sql).unwrap();
+        golden::assert_golden(&golden, q.id, &r.display_rows(), "under the tiny budget");
+        total_spilled += r.bytes_spilled;
+    }
+    assert!(total_spilled > 0, "the tiny budget never forced a spill");
 }
 
 /// A curated query whose joins and group-bys all overflow
