@@ -8,11 +8,15 @@
 //! platforms and toolchains, which keeps `HIVE_FAULT_SEED`-style replay
 //! and the histogram on/off differential oracle byte-stable.
 //!
-//! Equi-depth buckets are *derived* from the sample on demand
+//! Equi-depth buckets are *derived* from the sample
 //! ([`ColumnHistogram::buckets`]): the sample is sorted and split into
 //! up to [`BUCKETS`] depth-equal runs, each carrying its value range,
 //! row weight and bucket-local NDV. Under [`SAMPLE_CAP`] values the
-//! sample is lossless, so bucket depths and NDVs are exact.
+//! sample is lossless, so bucket depths and NDVs are exact. The
+//! derivation runs once per stats version: the buckets are memoized on
+//! first use and dropped by every mutation that can change them
+//! ([`ColumnHistogram::update_f64`], [`ColumnHistogram::merge`]), so the
+//! optimizer's many estimates over one snapshot sort the sample once.
 //!
 //! Merging (cross-partition rollup, the INSERT path) concatenates
 //! samples while the union fits the cap — exact, order-independent up
@@ -30,6 +34,7 @@
 
 use hive_common::Value;
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// Reservoir capacity: below this many observed numeric values the
 /// histogram is lossless.
@@ -67,6 +72,9 @@ pub struct ColumnHistogram {
     seen: u64,
     /// xorshift64* state for Algorithm-R replacement.
     rng: u64,
+    /// Buckets derived from `sample`/`seen`, filled on first use.
+    #[serde(skip)]
+    memo: BucketMemo,
 }
 
 impl Default for ColumnHistogram {
@@ -75,7 +83,19 @@ impl Default for ColumnHistogram {
             sample: Vec::new(),
             seen: 0,
             rng: RNG_SEED,
+            memo: BucketMemo::default(),
         }
+    }
+}
+
+/// Memoized derived buckets. A pure function of the histogram's state,
+/// so it takes no part in equality, and clones share it.
+#[derive(Debug, Clone, Default)]
+struct BucketMemo(OnceLock<Arc<[Bucket]>>);
+
+impl PartialEq for BucketMemo {
+    fn eq(&self, _: &BucketMemo) -> bool {
+        true
     }
 }
 
@@ -100,6 +120,7 @@ impl ColumnHistogram {
         if !x.is_finite() {
             return;
         }
+        self.memo.0.take();
         self.seen += 1;
         if self.sample.len() < SAMPLE_CAP {
             self.sample.push(x);
@@ -144,6 +165,7 @@ impl ColumnHistogram {
             *self = other.clone();
             return;
         }
+        self.memo.0.take();
         let total = self.seen + other.seen;
         if self.sample.len() + other.sample.len() <= SAMPLE_CAP {
             self.sample.extend_from_slice(&other.sample);
@@ -164,8 +186,13 @@ impl ColumnHistogram {
         }
     }
 
-    /// Derive up to [`BUCKETS`] equi-depth buckets from the sample.
-    pub fn buckets(&self) -> Vec<Bucket> {
+    /// Up to [`BUCKETS`] equi-depth buckets derived from the sample,
+    /// computed on the first call after a mutation and reused after.
+    pub fn buckets(&self) -> &[Bucket] {
+        self.memo.0.get_or_init(|| self.derive_buckets().into())
+    }
+
+    fn derive_buckets(&self) -> Vec<Bucket> {
         if self.sample.is_empty() {
             return Vec::new();
         }
@@ -244,7 +271,7 @@ impl ColumnHistogram {
         let total = self.seen as f64;
         let mut rows = 0.0;
         for b in self.buckets() {
-            rows += bucket_overlap_rows(&b, lo, hi);
+            rows += bucket_overlap_rows(b, lo, hi);
         }
         Some((rows / total).clamp(0.0, 1.0))
     }
@@ -324,8 +351,8 @@ pub fn join_selectivity(l: &ColumnHistogram, r: &ColumnHistogram) -> Option<f64>
             segs.push((v, next));
         }
     }
-    let l_seg = distribute_over_segments(&lb, &segs);
-    let r_seg = distribute_over_segments(&rb, &segs);
+    let l_seg = distribute_over_segments(lb, &segs);
+    let r_seg = distribute_over_segments(rb, &segs);
 
     let mut out_rows = 0.0;
     for (i, &(lo, hi)) in segs.iter().enumerate() {
@@ -353,9 +380,18 @@ pub fn join_selectivity(l: &ColumnHistogram, r: &ColumnHistogram) -> Option<f64>
 /// weighs its width fraction; zero-width buckets sit wholly on their
 /// point. Weights are normalized per bucket so its rows are partitioned
 /// across the segments rather than double-counted at shared boundaries.
+///
+/// `segs` is sorted on both ends, so a bucket only visits the run of
+/// segments that can touch `[lo, hi]`. Every segment outside that run
+/// weighs exactly `+0.0`, and adding `+0.0` never changes a sum, so
+/// the result is bit-identical to weighing every bucket against every
+/// segment.
 fn distribute_over_segments(buckets: &[Bucket], segs: &[(f64, f64)]) -> Vec<(f64, f64)> {
     let mut out = vec![(0.0, 0.0); segs.len()];
     for b in buckets {
+        let first = segs.partition_point(|&(_, hi)| hi < b.lo);
+        let end = segs.partition_point(|&(lo, _)| lo <= b.hi);
+        let span = &segs[first..end];
         let width = b.hi - b.lo;
         let weight = |&(lo, hi): &(f64, f64)| -> f64 {
             if hi <= lo {
@@ -382,17 +418,17 @@ fn distribute_over_segments(buckets: &[Bucket], segs: &[(f64, f64)]) -> Vec<(f64
                 }
             }
         };
-        let total: f64 = segs.iter().map(weight).sum();
+        let total: f64 = span.iter().map(weight).sum();
         if total <= 0.0 {
             continue;
         }
-        for (i, seg) in segs.iter().enumerate() {
+        for (o, seg) in out[first..].iter_mut().zip(span) {
             let w = weight(seg) / total;
             if w <= 0.0 {
                 continue;
             }
-            out[i].0 += b.rows * w;
-            out[i].1 += (b.ndv * w).clamp(1.0, b.ndv.max(1.0));
+            o.0 += b.rows * w;
+            o.1 += (b.ndv * w).clamp(1.0, b.ndv.max(1.0));
         }
     }
     out

@@ -24,7 +24,9 @@ struct MetastoreInner {
     catalog: RwLock<Catalog>,
     txns: Mutex<TxnManager>,
     locks: Mutex<LockManager>,
-    stats: RwLock<HashMap<String, TableStats>>,
+    /// Per-table statistics. Readers take an `Arc` snapshot; writers
+    /// copy on write when a snapshot is still held.
+    stats: RwLock<HashMap<String, Arc<TableStats>>>,
     compactions: Mutex<CompactionQueue>,
     /// Runtime operator statistics persisted for reoptimization feedback
     /// (§4.2/§9), keyed by plan fingerprint.
@@ -57,7 +59,7 @@ impl Metastore {
         self.inner
             .stats
             .write()
-            .insert(qname, TableStats::new(ncols));
+            .insert(qname, Arc::new(TableStats::new(ncols)));
         Ok(())
     }
 
@@ -144,8 +146,10 @@ impl Metastore {
 
     // ---- statistics ----------------------------------------------------
 
-    /// Current stats for a table (empty default when never written).
-    pub fn table_stats(&self, qualified: &str) -> TableStats {
+    /// Snapshot of a table's current stats (empty default when never
+    /// written). The snapshot is shared, not copied: later writes to the
+    /// table's stats never show through it.
+    pub fn table_stats(&self, qualified: &str) -> Arc<TableStats> {
         self.inner
             .stats
             .read()
@@ -154,12 +158,14 @@ impl Metastore {
             .unwrap_or_default()
     }
 
-    /// Additively merge new statistics (the INSERT path of §4.1).
+    /// Additively merge new statistics (the INSERT path of §4.1). Copies
+    /// the stored stats first only while a reader still holds them.
     pub fn merge_table_stats(&self, qualified: &str, delta: &TableStats) {
         let mut g = self.inner.stats.write();
-        g.entry(qualified.to_string())
-            .or_insert_with(|| TableStats::new(delta.columns.len()))
-            .merge(delta);
+        let stats = g
+            .entry(qualified.to_string())
+            .or_insert_with(|| Arc::new(TableStats::new(delta.columns.len())));
+        Arc::make_mut(stats).merge(delta);
     }
 
     /// Replace statistics outright (ANALYZE TABLE / major compaction).
@@ -167,7 +173,7 @@ impl Metastore {
         self.inner
             .stats
             .write()
-            .insert(qualified.to_string(), stats);
+            .insert(qualified.to_string(), Arc::new(stats));
     }
 
     // ---- transactions --------------------------------------------------
@@ -365,6 +371,26 @@ mod tests {
         ms.merge_table_stats("default.t", &delta);
         ms.merge_table_stats("default.t", &delta);
         assert_eq!(ms.table_stats("default.t").row_count, 20);
+    }
+
+    #[test]
+    fn held_stats_snapshot_never_sees_later_writes() {
+        let ms = ms_with_table();
+        let mut delta = TableStats::new(1);
+        delta.row_count = 10;
+        delta.columns[0].update(&Value::Int(4));
+        ms.merge_table_stats("default.t", &delta);
+        let held = ms.table_stats("default.t");
+        assert_eq!(held.columns[0].histogram.buckets().len(), 1);
+        ms.merge_table_stats("default.t", &delta);
+        assert_eq!(held.row_count, 10, "a held snapshot is never mutated");
+        assert_eq!(held.columns[0].histogram.total_rows(), 1);
+        let fresh = ms.table_stats("default.t");
+        assert_eq!(fresh.row_count, 20);
+        assert_eq!(fresh.columns[0].histogram.total_rows(), 2);
+        assert_eq!(fresh.columns[0].histogram.buckets()[0].rows, 2.0);
+        // Unshared snapshots are reused, not copied.
+        assert!(Arc::ptr_eq(&fresh, &ms.table_stats("default.t")));
     }
 
     #[test]

@@ -14,17 +14,20 @@ use crate::plan::{JoinType, LogicalPlan};
 use crate::rules::transform_up;
 use crate::stats::{estimate_rows, StatsSource};
 use hive_common::Result;
+use hive_metastore::TableStats;
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Reorder all maximal inner-join trees in the plan.
 pub fn reorder_joins(plan: &LogicalPlan, stats: &dyn StatsSource) -> Result<LogicalPlan> {
     if stats.histograms_enabled() {
-        return reorder_top_down(plan, stats);
+        return reorder_top_down(plan, &EstimateMemo::new(stats));
     }
     let mut err = None;
     let out = transform_up(plan, &mut |node| {
         if is_reorderable_join(&node) {
-            match reorder_one(&node, stats, false) {
+            match reorder_one(&node, stats) {
                 Ok(p) => p,
                 Err(e) => {
                     err = Some(e);
@@ -49,16 +52,23 @@ pub fn reorder_joins(plan: &LogicalPlan, stats: &dyn StatsSource) -> Result<Logi
 /// histogram can never move a selective dimension ahead of a bulky
 /// one.) Relations discovered by `flatten` are recursed into, so join
 /// trees under aggregates, set ops, or non-inner joins still reorder.
-fn reorder_top_down(plan: &LogicalPlan, stats: &dyn StatsSource) -> Result<LogicalPlan> {
+fn reorder_top_down(plan: &LogicalPlan, stats: &EstimateMemo) -> Result<LogicalPlan> {
     if is_reorderable_join(plan) {
         // Greedy left-deep rebuild versus the authored shape, costed
         // under the same estimator. Greedy's search space is left-deep
         // chains only; an authored bushy shape (e.g. cross-joining two
         // tiny dimensions before one multi-key probe of the fact) can
         // be strictly cheaper, and on a tie the authored tree wins —
-        // it needs no column-restoring projection.
-        let greedy = reorder_one(plan, stats, true)?;
-        let authored = reorder_below_joins(plan, stats)?;
+        // it needs no column-restoring projection. Each relation below
+        // the tree is reordered once, by `flatten`, and both shapes are
+        // built over that one result.
+        let graph = JoinGraph::flatten(plan, stats, &mut |rel| {
+            let rel = Arc::new(reorder_top_down(rel, stats)?);
+            stats.pin(&rel);
+            Ok(rel)
+        })?;
+        let authored = Arc::unwrap_or_clone(authored_shape(plan, &mut graph.rels.iter()));
+        let greedy = rebuild_greedy(graph, stats)?;
         return Ok(
             if join_tree_cost(&greedy, stats) < join_tree_cost(&authored, stats) {
                 greedy
@@ -78,20 +88,85 @@ fn reorder_top_down(plan: &LogicalPlan, stats: &dyn StatsSource) -> Result<Logic
     Ok(super::with_children(plan, new_children))
 }
 
-/// Keep this maximal inner-join tree's authored shape, recursing only
-/// into the relations below it (which may themselves contain join trees
-/// — subqueries, derived tables — that still get their own
-/// authored-versus-greedy choice).
-fn reorder_below_joins(plan: &LogicalPlan, stats: &dyn StatsSource) -> Result<LogicalPlan> {
+/// This maximal inner-join tree in its authored shape, with each
+/// relation below it replaced by its (already reordered) relation from
+/// `rels`, taken in `flatten` order.
+fn authored_shape<'a>(
+    plan: &LogicalPlan,
+    rels: &mut impl Iterator<Item = &'a Rel>,
+) -> Arc<LogicalPlan> {
     if is_reorderable_join(plan) {
-        let children = plan.children();
-        let mut new_children = Vec::with_capacity(children.len());
-        for c in children {
-            new_children.push(Arc::new(reorder_below_joins(c, stats)?));
-        }
-        Ok(super::with_children(plan, new_children))
+        let children = plan
+            .children()
+            .into_iter()
+            .map(|c| authored_shape(c, rels))
+            .collect();
+        Arc::new(super::with_children(plan, children))
     } else {
-        reorder_top_down(plan, stats)
+        rels.next().expect("one relation per leaf").plan.clone()
+    }
+}
+
+/// The histogram path's statistics source for one reorder pass: it
+/// answers [`estimate_rows`] for any node inside a reordered relation
+/// from memory. Join trees nested under aggregates or subqueries are
+/// costed again by every tree above them (candidate chains, authored
+/// versus greedy); without the memo each level re-derives every level
+/// below it. Relations are pinned for the whole pass, so a node's
+/// address names that node alone, and the memo answers exactly what
+/// the estimator computed for it.
+struct EstimateMemo<'a> {
+    inner: &'a dyn StatsSource,
+    /// Reordered relations, kept alive for the pass.
+    pinned: RefCell<Vec<Arc<LogicalPlan>>>,
+    /// Every node inside a pinned relation, with its estimate once made.
+    rows: RefCell<HashMap<*const LogicalPlan, Option<f64>>>,
+}
+
+impl<'a> EstimateMemo<'a> {
+    fn new(inner: &'a dyn StatsSource) -> Self {
+        EstimateMemo {
+            inner,
+            pinned: RefCell::new(Vec::new()),
+            rows: RefCell::new(HashMap::new()),
+        }
+    }
+
+    /// Make every node of `rel` memoizable for the rest of the pass.
+    fn pin(&self, rel: &Arc<LogicalPlan>) {
+        let mut rows = self.rows.borrow_mut();
+        rel.visit(&mut |p| {
+            rows.entry(p as *const LogicalPlan).or_insert(None);
+        });
+        self.pinned.borrow_mut().push(rel.clone());
+    }
+}
+
+impl StatsSource for EstimateMemo<'_> {
+    fn stats_for(&self, qualified_name: &str) -> Arc<TableStats> {
+        self.inner.stats_for(qualified_name)
+    }
+
+    fn histograms_enabled(&self) -> bool {
+        self.inner.histograms_enabled()
+    }
+
+    fn feedback_rows(&self, tables: &str) -> Option<u64> {
+        self.inner.feedback_rows(tables)
+    }
+
+    fn memoized_rows(&self, plan: &LogicalPlan) -> Option<f64> {
+        *self.rows.borrow().get(&(plan as *const LogicalPlan))?
+    }
+
+    fn memoize_rows(&self, plan: &LogicalPlan, rows: f64) {
+        if let Some(slot) = self
+            .rows
+            .borrow_mut()
+            .get_mut(&(plan as *const LogicalPlan))
+        {
+            *slot = Some(rows);
+        }
     }
 }
 
@@ -137,21 +212,64 @@ struct Edge {
     used: bool,
 }
 
-fn reorder_one(node: &LogicalPlan, stats: &dyn StatsSource, deep: bool) -> Result<LogicalPlan> {
-    // Flatten.
-    let mut rels: Vec<Rel> = Vec::new();
-    let mut edges: Vec<Edge> = Vec::new();
-    let mut residuals: Vec<ScalarExpr> = Vec::new(); // global coords
-    flatten(node, &mut rels, &mut edges, &mut residuals, stats, deep)?;
-    if rels.len() < 2 {
+/// A maximal inner-join tree flattened into relations, equi edges and
+/// residual predicates (in global column coordinates).
+struct JoinGraph {
+    rels: Vec<Rel>,
+    edges: Vec<Edge>,
+    residuals: Vec<ScalarExpr>,
+}
+
+/// The greedy loop's state: the left-deep chain built so far, its
+/// estimated rows, which relations it holds and where their columns
+/// sit in its output.
+struct Chain<'g> {
+    rels: &'g [Rel],
+    edges: &'g mut [Edge],
+    joined: Vec<bool>,
+    /// Output layout: (rel index, local col) per chain column.
+    layout: Vec<(usize, usize)>,
+    plan: Arc<LogicalPlan>,
+    rows: f64,
+}
+
+fn reorder_one(node: &LogicalPlan, stats: &dyn StatsSource) -> Result<LogicalPlan> {
+    let graph = JoinGraph::flatten(node, stats, &mut |rel| Ok(Arc::new(rel.clone())))?;
+    if graph.rels.len() < 2 {
         return Ok(node.clone());
     }
+    rebuild_greedy(graph, stats)
+}
 
-    // Greedy construction.
+impl JoinGraph {
+    /// Flatten the tree at `node`; `leaf` turns each relation below it
+    /// into the plan the graph joins.
+    fn flatten(
+        node: &LogicalPlan,
+        stats: &dyn StatsSource,
+        leaf: &mut dyn FnMut(&LogicalPlan) -> Result<Arc<LogicalPlan>>,
+    ) -> Result<JoinGraph> {
+        let mut rels: Vec<Rel> = Vec::new();
+        let mut edges: Vec<Edge> = Vec::new();
+        let mut residuals: Vec<ScalarExpr> = Vec::new(); // global coords
+        flatten(node, &mut rels, &mut edges, &mut residuals, stats, leaf)?;
+        Ok(JoinGraph {
+            rels,
+            edges,
+            residuals,
+        })
+    }
+}
+
+/// Greedy left-deep rebuild of a flattened join tree, capped by a
+/// projection that restores the original global column order.
+fn rebuild_greedy(graph: JoinGraph, stats: &dyn StatsSource) -> Result<LogicalPlan> {
+    let JoinGraph {
+        rels,
+        mut edges,
+        residuals,
+    } = graph;
     let n = rels.len();
-    let mut joined = vec![false; n];
-    // Current output layout: list of (rel index, local col) in order.
-    let mut layout: Vec<(usize, usize)> = Vec::new();
 
     // Root the left-deep tree at the largest connected relation (the
     // fact table): the executor builds its hash table on the *right*
@@ -165,10 +283,15 @@ fn reorder_one(node: &LogicalPlan, stats: &dyn StatsSource, deep: bool) -> Resul
                 .then(rels[a].rows.partial_cmp(&rels[b].rows).unwrap())
         })
         .expect("nonempty");
-    joined[start] = true;
-    let mut current: Arc<LogicalPlan> = rels[start].plan.clone();
-    let mut current_rows = rels[start].rows;
-    layout.extend((0..rels[start].width).map(|c| (start, c)));
+    let mut chain = Chain {
+        rels: &rels,
+        edges: &mut edges,
+        joined: vec![false; n],
+        layout: (0..rels[start].width).map(|c| (start, c)).collect(),
+        plan: rels[start].plan.clone(),
+        rows: rels[start].rows,
+    };
+    chain.joined[start] = true;
 
     // On the histogram path a candidate must beat the incumbent by a
     // real margin: reservoir sampling and bucket interpolation put
@@ -178,42 +301,29 @@ fn reorder_one(node: &LogicalPlan, stats: &dyn StatsSource, deep: bool) -> Resul
     // costs real rows. Genuine wins (a filtered dimension versus an
     // unfiltered one) differ by integer factors, far past 10%.
     let margin = if stats.histograms_enabled() { 0.9 } else { 1.0 };
-    while joined.iter().any(|j| !j) {
+    while chain.joined.iter().any(|j| !j) {
         // Candidate = unjoined relation; prefer connected ones, pick the
         // one minimizing estimated output rows.
         let mut best: Option<(usize, f64, bool)> = None; // (rel, est, connected)
-        for r in 0..n {
-            if joined[r] {
+        for (r, rel) in rels.iter().enumerate() {
+            if chain.joined[r] {
                 continue;
             }
-            let connected = edges.iter().any(|e| {
-                !e.used
-                    && ((joined[e.left_rel] && e.right_rel == r)
-                        || (joined[e.right_rel] && e.left_rel == r))
-            });
+            let connected = chain.pending_edges(r).next().is_some();
             let est = if connected {
                 if stats.histograms_enabled() {
                     // Cost the candidate through the full estimator
                     // (histogram overlap on the join keys, runtime
                     // feedback when present) by building the join it
                     // would produce.
-                    candidate_join_estimate(
-                        &current,
-                        current_rows,
-                        &rels[r],
-                        r,
-                        &edges,
-                        &joined,
-                        &layout,
-                        stats,
-                    )
+                    chain.candidate_join_estimate(r, stats)
                 } else {
                     // Constant-selectivity oracle: size-containment on
                     // the raw row counts.
-                    current_rows * rels[r].rows / current_rows.max(rels[r].rows).max(1.0)
+                    chain.containment(r)
                 }
             } else {
-                current_rows * rels[r].rows
+                chain.rows * rel.rows
             };
             let better = match &best {
                 None => true,
@@ -226,39 +336,9 @@ fn reorder_one(node: &LogicalPlan, stats: &dyn StatsSource, deep: bool) -> Resul
             }
         }
         let (next, est, connected) = best.expect("some relation remains");
-        // Gather join conditions between `current` and `next`.
-        let mut equi: Vec<(ScalarExpr, ScalarExpr)> = Vec::new();
-        for e in edges.iter_mut().filter(|e| !e.used) {
-            let (cur_rel, cur_expr, next_expr) = if joined[e.left_rel] && e.right_rel == next {
-                (e.left_rel, &e.left_expr, &e.right_expr)
-            } else if joined[e.right_rel] && e.left_rel == next {
-                (e.right_rel, &e.right_expr, &e.left_expr)
-            } else {
-                continue;
-            };
-            // Remap the current-side expr into the accumulated layout.
-            let left = cur_expr
-                .clone()
-                .remap_columns(&|c| layout.iter().position(|&(r, lc)| r == cur_rel && lc == c))?;
-            equi.push((left, next_expr.clone()));
-            e.used = true;
-        }
-        let join_type = if connected && !equi.is_empty() {
-            JoinType::Inner
-        } else {
-            JoinType::Cross
-        };
-        current = Arc::new(LogicalPlan::Join {
-            left: current,
-            right: rels[next].plan.clone(),
-            join_type,
-            equi,
-            residual: None,
-        });
-        layout.extend((0..rels[next].width).map(|c| (next, c)));
-        joined[next] = true;
-        current_rows = est.max(1.0);
+        chain.join(next, est, connected)?;
     }
+    let Chain { plan, layout, .. } = chain;
 
     // Any unused edges (cycles) and residuals become a filter on top,
     // remapped from global coordinates to the final layout.
@@ -287,7 +367,7 @@ fn reorder_one(node: &LogicalPlan, stats: &dyn StatsSource, deep: bool) -> Resul
     for res in &residuals {
         filters.push(res.clone().remap_columns(&global_to_layout)?);
     }
-    let mut out: Arc<LogicalPlan> = current;
+    let mut out: Arc<LogicalPlan> = plan;
     if let Some(pred) = ScalarExpr::conjunction(filters) {
         out = Arc::new(LogicalPlan::Filter {
             input: out,
@@ -313,51 +393,100 @@ fn reorder_one(node: &LogicalPlan, stats: &dyn StatsSource, deep: bool) -> Resul
     })
 }
 
-/// Estimated output rows of joining `rel` onto the accumulated
-/// `current` tree, costed through [`estimate_rows`] on the candidate
-/// join node so histogram overlap and runtime feedback participate.
-/// Falls back to size-containment when the candidate's join keys
-/// cannot be expressed over the accumulated layout.
-#[allow(clippy::too_many_arguments)]
-fn candidate_join_estimate(
-    current: &Arc<LogicalPlan>,
-    current_rows: f64,
-    rel: &Rel,
-    r: usize,
-    edges: &[Edge],
-    joined: &[bool],
-    layout: &[(usize, usize)],
-    stats: &dyn StatsSource,
-) -> f64 {
-    let fallback = current_rows * rel.rows / current_rows.max(rel.rows).max(1.0);
-    let mut equi: Vec<(ScalarExpr, ScalarExpr)> = Vec::new();
-    for e in edges.iter().filter(|e| !e.used) {
-        let (cur_rel, cur_expr, next_expr) = if joined[e.left_rel] && e.right_rel == r {
-            (e.left_rel, &e.left_expr, &e.right_expr)
-        } else if joined[e.right_rel] && e.left_rel == r {
-            (e.right_rel, &e.right_expr, &e.left_expr)
+impl Chain<'_> {
+    /// Unused edges between the chain and relation `r`, each as (edge
+    /// index, chain relation, chain-side expr, `r`-side expr).
+    fn pending_edges(
+        &self,
+        r: usize,
+    ) -> impl Iterator<Item = (usize, usize, &ScalarExpr, &ScalarExpr)> + '_ {
+        self.edges
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| !e.used)
+            .filter_map(move |(i, e)| {
+                if self.joined[e.left_rel] && e.right_rel == r {
+                    Some((i, e.left_rel, &e.left_expr, &e.right_expr))
+                } else if self.joined[e.right_rel] && e.left_rel == r {
+                    Some((i, e.right_rel, &e.right_expr, &e.left_expr))
+                } else {
+                    None
+                }
+            })
+    }
+
+    /// A chain-side key expr remapped from its relation's local columns
+    /// into the chain's output layout.
+    fn remap_to_layout(&self, rel: usize, expr: &ScalarExpr) -> Result<ScalarExpr> {
+        expr.clone().remap_columns(&|c| {
+            self.layout
+                .iter()
+                .position(|&(rr, lc)| rr == rel && lc == c)
+        })
+    }
+
+    /// Size-containment estimate of joining relation `r` on.
+    fn containment(&self, r: usize) -> f64 {
+        let rows = self.rels[r].rows;
+        self.rows * rows / self.rows.max(rows).max(1.0)
+    }
+
+    /// Estimated output rows of joining relation `r` onto the chain,
+    /// costed through [`estimate_rows`] on the candidate join node so
+    /// histogram overlap and runtime feedback participate. Falls back
+    /// to size-containment when the candidate's join keys cannot be
+    /// expressed over the chain's layout.
+    fn candidate_join_estimate(&self, r: usize, stats: &dyn StatsSource) -> f64 {
+        let mut equi: Vec<(ScalarExpr, ScalarExpr)> = Vec::new();
+        for (_, cur_rel, cur_expr, next_expr) in self.pending_edges(r) {
+            let Ok(left) = self.remap_to_layout(cur_rel, cur_expr) else {
+                return self.containment(r);
+            };
+            equi.push((left, next_expr.clone()));
+        }
+        if equi.is_empty() {
+            return self.containment(r);
+        }
+        let candidate = LogicalPlan::Join {
+            left: self.plan.clone(),
+            right: self.rels[r].plan.clone(),
+            join_type: JoinType::Inner,
+            equi,
+            residual: None,
+        };
+        estimate_rows(&candidate, stats).max(1.0)
+    }
+
+    /// Join relation `next` onto the chain over every pending edge to
+    /// it (a cross join when there is none), marking those edges used.
+    fn join(&mut self, next: usize, est: f64, connected: bool) -> Result<()> {
+        let mut equi: Vec<(ScalarExpr, ScalarExpr)> = Vec::new();
+        let mut used = Vec::new();
+        for (i, cur_rel, cur_expr, next_expr) in self.pending_edges(next) {
+            equi.push((self.remap_to_layout(cur_rel, cur_expr)?, next_expr.clone()));
+            used.push(i);
+        }
+        for i in used {
+            self.edges[i].used = true;
+        }
+        let join_type = if connected && !equi.is_empty() {
+            JoinType::Inner
         } else {
-            continue;
+            JoinType::Cross
         };
-        let Ok(left) = cur_expr
-            .clone()
-            .remap_columns(&|c| layout.iter().position(|&(rr, lc)| rr == cur_rel && lc == c))
-        else {
-            return fallback;
-        };
-        equi.push((left, next_expr.clone()));
+        self.plan = Arc::new(LogicalPlan::Join {
+            left: self.plan.clone(),
+            right: self.rels[next].plan.clone(),
+            join_type,
+            equi,
+            residual: None,
+        });
+        self.layout
+            .extend((0..self.rels[next].width).map(|c| (next, c)));
+        self.joined[next] = true;
+        self.rows = est.max(1.0);
+        Ok(())
     }
-    if equi.is_empty() {
-        return fallback;
-    }
-    let candidate = LogicalPlan::Join {
-        left: current.clone(),
-        right: rel.plan.clone(),
-        join_type: JoinType::Inner,
-        equi,
-        residual: None,
-    };
-    estimate_rows(&candidate, stats).max(1.0)
 }
 
 /// Flatten nested inner/cross joins into relations + edges.
@@ -367,7 +496,7 @@ fn flatten(
     edges: &mut Vec<Edge>,
     residuals: &mut Vec<ScalarExpr>,
     stats: &dyn StatsSource,
-    deep: bool,
+    leaf: &mut dyn FnMut(&LogicalPlan) -> Result<Arc<LogicalPlan>>,
 ) -> Result<()> {
     match node {
         LogicalPlan::Join {
@@ -378,14 +507,14 @@ fn flatten(
             residual,
         } => {
             let left_start_rel = rels.len();
-            flatten(left, rels, edges, residuals, stats, deep)?;
+            flatten(left, rels, edges, residuals, stats, leaf)?;
             let right_start_rel = rels.len();
             let left_width: usize = rels[left_start_rel..right_start_rel]
                 .iter()
                 .map(|r| r.width)
                 .sum();
             let left_offset = rels.get(left_start_rel).map(|r| r.offset).unwrap_or(0);
-            flatten(right, rels, edges, residuals, stats, deep)?;
+            flatten(right, rels, edges, residuals, stats, leaf)?;
             // Register equi edges: left expr over left subtree's local
             // coords, right over right subtree's.
             for (l, r) in equi {
@@ -414,16 +543,12 @@ fn flatten(
             Ok(())
         }
         other => {
-            let plan = if deep {
-                reorder_top_down(other, stats)?
-            } else {
-                other.clone()
-            };
+            let plan = leaf(other)?;
             let offset = rels.iter().map(|r| r.width).sum();
             let width = other.schema().len();
             rels.push(Rel {
                 rows: estimate_rows(&plan, stats),
-                plan: Arc::new(plan),
+                plan,
                 offset,
                 width,
             });

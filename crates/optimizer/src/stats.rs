@@ -6,13 +6,15 @@
 use crate::expr::ScalarExpr;
 use crate::plan::{JoinType, LogicalPlan};
 use hive_common::Value;
-use hive_metastore::{ColumnHistogram, ColumnStatsMeta, TableStats};
+use hive_metastore::{ColumnStatsMeta, TableStats};
 use hive_sql::BinaryOp;
+use std::sync::Arc;
 
 /// Source of table statistics.
 pub trait StatsSource {
-    /// Stats for a qualified table name (empty default when unknown).
-    fn stats_for(&self, qualified_name: &str) -> TableStats;
+    /// Shared stats snapshot for a qualified table name (empty default
+    /// when unknown).
+    fn stats_for(&self, qualified_name: &str) -> Arc<TableStats>;
 
     /// Whether histogram-driven estimation is active
     /// (`hive.optimizer.histograms.enabled`). When false the System-R
@@ -28,10 +30,19 @@ pub trait StatsSource {
     fn feedback_rows(&self, _tables: &str) -> Option<u64> {
         None
     }
+
+    /// An earlier [`estimate_rows`] answer for this very plan node, when
+    /// the source memoizes estimates.
+    fn memoized_rows(&self, _plan: &LogicalPlan) -> Option<f64> {
+        None
+    }
+
+    /// Offer an [`estimate_rows`] answer to a memoizing source.
+    fn memoize_rows(&self, _plan: &LogicalPlan, _rows: f64) {}
 }
 
 impl StatsSource for hive_metastore::Metastore {
-    fn stats_for(&self, qualified_name: &str) -> TableStats {
+    fn stats_for(&self, qualified_name: &str) -> Arc<TableStats> {
         self.table_stats(qualified_name)
     }
 }
@@ -50,7 +61,7 @@ pub struct GatedStats<'a> {
 }
 
 impl StatsSource for GatedStats<'_> {
-    fn stats_for(&self, qualified_name: &str) -> TableStats {
+    fn stats_for(&self, qualified_name: &str) -> Arc<TableStats> {
         self.inner.stats_for(qualified_name)
     }
 
@@ -86,6 +97,15 @@ const SEL_LIKE_DEFAULT: f64 = 0.25;
 
 /// Estimate output rows for a plan.
 pub fn estimate_rows(plan: &LogicalPlan, src: &dyn StatsSource) -> f64 {
+    if let Some(rows) = src.memoized_rows(plan) {
+        return rows;
+    }
+    let rows = derive_rows(plan, src);
+    src.memoize_rows(plan, rows);
+    rows
+}
+
+fn derive_rows(plan: &LogicalPlan, src: &dyn StatsSource) -> f64 {
     match plan {
         LogicalPlan::Scan {
             table,
@@ -103,7 +123,7 @@ pub fn estimate_rows(plan: &LogicalPlan, src: &dyn StatsSource) -> f64 {
             }
             let use_hist = src.histograms_enabled();
             for f in filters {
-                rows *= selectivity_with(f, Some((&stats, projection)), use_hist);
+                rows *= selectivity_with(f, Some((&*stats, projection)), use_hist);
             }
             rows.max(1.0)
         }
@@ -149,10 +169,13 @@ pub fn estimate_rows(plan: &LogicalPlan, src: &dyn StatsSource) -> f64 {
                         for (le, re) in equi {
                             let mut key_sel: Option<f64> = None;
                             if use_hist {
-                                if let (Some(lh), Some(rh)) =
+                                if let (Some((ls, lc)), Some((rs, rc))) =
                                     (key_histogram(left, le, src), key_histogram(right, re, src))
                                 {
-                                    key_sel = hive_metastore::join_selectivity(&lh, &rh);
+                                    key_sel = hive_metastore::join_selectivity(
+                                        &ls.columns[lc].histogram,
+                                        &rs.columns[rc].histogram,
+                                    );
                                 }
                             }
                             if key_sel.is_none() {
@@ -239,8 +262,8 @@ pub fn estimate_rows(plan: &LogicalPlan, src: &dyn StatsSource) -> f64 {
 /// distinct keys than rows). `None` when no statistics reach the
 /// column.
 pub fn estimate_key_ndv(plan: &LogicalPlan, col: usize, src: &dyn StatsSource) -> Option<u64> {
-    let cs = key_column_stats_col(plan, col, src)?;
-    let ndv = cs.ndv_estimate();
+    let (stats, c) = key_column_stats_col(plan, col, src)?;
+    let ndv = stats.columns[c].ndv_estimate();
     if ndv == 0 {
         return None;
     }
@@ -251,27 +274,27 @@ pub fn estimate_key_ndv(plan: &LogicalPlan, col: usize, src: &dyn StatsSource) -
 /// through Filters/pass-through Projects/Joins down to a Scan with
 /// stats.
 fn key_ndv(plan: &LogicalPlan, key: &ScalarExpr, src: &dyn StatsSource) -> Option<f64> {
-    let cs = key_column_stats(plan, key, src)?;
-    let ndv = cs.ndv_estimate();
+    let (stats, c) = key_column_stats(plan, key, src)?;
+    let ndv = stats.columns[c].ndv_estimate();
     (ndv > 0).then_some(ndv as f64)
 }
 
-/// Histogram of a join-key expression (same tracing as [`key_ndv`]),
-/// when one was collected.
+/// Stats snapshot and column index of a join-key expression whose
+/// histogram was collected (same tracing as [`key_ndv`]).
 fn key_histogram(
     plan: &LogicalPlan,
     key: &ScalarExpr,
     src: &dyn StatsSource,
-) -> Option<ColumnHistogram> {
-    let cs = key_column_stats(plan, key, src)?;
-    (!cs.histogram.is_empty()).then(|| cs.histogram.clone())
+) -> Option<(Arc<TableStats>, usize)> {
+    let (stats, c) = key_column_stats(plan, key, src)?;
+    (!stats.columns[c].histogram.is_empty()).then_some((stats, c))
 }
 
 fn key_column_stats(
     plan: &LogicalPlan,
     key: &ScalarExpr,
     src: &dyn StatsSource,
-) -> Option<ColumnStatsMeta> {
+) -> Option<(Arc<TableStats>, usize)> {
     let col = match key {
         ScalarExpr::Column(c) => *c,
         _ => return None,
@@ -279,18 +302,20 @@ fn key_column_stats(
     key_column_stats_col(plan, col, src)
 }
 
+/// The scanned base column an output column traces to: the table's
+/// stats snapshot and the column's index in it.
 fn key_column_stats_col(
     plan: &LogicalPlan,
     col: usize,
     src: &dyn StatsSource,
-) -> Option<ColumnStatsMeta> {
+) -> Option<(Arc<TableStats>, usize)> {
     match plan {
         LogicalPlan::Scan {
             table, projection, ..
         } => {
             let stats = src.stats_for(&table.qualified_name);
             let sc = *projection.get(col)?;
-            stats.columns.get(sc).cloned()
+            (sc < stats.columns.len()).then_some((stats, sc))
         }
         LogicalPlan::Filter { input, .. } => key_column_stats_col(input, col, src),
         LogicalPlan::Project { input, exprs, .. } => match exprs.get(col)? {
@@ -586,15 +611,13 @@ pub fn estimate_cost(plan: &LogicalPlan, src: &dyn StatsSource) -> f64 {
 mod tests {
     use super::*;
     use hive_common::{DataType, Field, Schema};
-    use hive_metastore::TableStats;
     use std::collections::HashMap;
-    use std::sync::Arc;
 
     struct FakeStats(HashMap<String, TableStats>);
 
     impl StatsSource for FakeStats {
-        fn stats_for(&self, q: &str) -> TableStats {
-            self.0.get(q).cloned().unwrap_or_default()
+        fn stats_for(&self, q: &str) -> Arc<TableStats> {
+            Arc::new(self.0.get(q).cloned().unwrap_or_default())
         }
     }
 
@@ -700,7 +723,7 @@ mod tests {
                     left: Box::new(ScalarExpr::Column(0)),
                     right: Box::new(ScalarExpr::Literal(Value::Int(900))),
                 },
-                Some((&stats, &[0])),
+                Some((&*stats, &[0])),
             );
             assert!((0.05..0.2).contains(&s), "got {s}");
         }

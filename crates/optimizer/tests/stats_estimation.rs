@@ -12,12 +12,13 @@ use hive_optimizer::ScalarExpr;
 use hive_sql::BinaryOp;
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 struct FakeStats(HashMap<String, TableStats>);
 
 impl StatsSource for FakeStats {
-    fn stats_for(&self, q: &str) -> TableStats {
-        self.0.get(q).cloned().unwrap_or_default()
+    fn stats_for(&self, q: &str) -> Arc<TableStats> {
+        Arc::new(self.0.get(q).cloned().unwrap_or_default())
     }
 }
 

@@ -83,6 +83,11 @@ cargo build --release --offline
 echo "== build benchmark crate =="
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
+# Every workload once at tiny scale, with its result digests checked
+# against benchmark/digests.
+echo "== benchmark smoke run =="
+python3 benchmark/run.py --smoke
+
 echo "== tests =="
 cargo test -q --offline --workspace
 

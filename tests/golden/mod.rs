@@ -10,9 +10,9 @@ use std::collections::HashMap;
 /// must reproduce it byte for byte.
 const GOLDEN: &str = include_str!("tpcds_da7a.tsv");
 
-pub fn golden() -> HashMap<&'static str, (usize, u64)> {
-    GOLDEN
-        .lines()
+/// Parse a golden file: one `id \t count \t digest-hex` line per query.
+pub fn parse(text: &'static str) -> HashMap<&'static str, (usize, u64)> {
+    text.lines()
         .map(|l| {
             let f: Vec<&str> = l.split('\t').collect();
             let rows = f[1].parse().expect("golden file: row count");
@@ -20,6 +20,10 @@ pub fn golden() -> HashMap<&'static str, (usize, u64)> {
             (f[0], (rows, digest))
         })
         .collect()
+}
+
+pub fn golden() -> HashMap<&'static str, (usize, u64)> {
+    parse(GOLDEN)
 }
 
 /// FNV-1a over `rows`, each followed by a newline.
